@@ -16,6 +16,7 @@ alone.
 
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -38,6 +39,9 @@ from repro.optimizations.base import WhatIfContext
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_core.json")
+
+# the reference construction path lives with the tests
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 #: seed (pre-event-driven-core) timings, same workload/host/protocol
 SEED_BASELINE_S = {
@@ -126,9 +130,23 @@ def test_perf_engine_profile(benchmark):
 
 
 def test_perf_graph_construction(bert_trace):
+    """Bulk construction vs the per-event oracle path it replaced.
+
+    Quick gate: on bert_large the bulk path must be at least 1.8x faster
+    than the oracle (dataclass tasks through the write barrier, per-task
+    append, linear-scan gating, unfused validate) timed in this same
+    process — and must build the same graph bit for bit.
+    """
+    from construction_oracle import assert_same_graph, oracle_build_graph
+
     graph = _record("graph_construction", lambda: build_graph(bert_trace),
                     rounds=5)
     assert len(graph) > 10_000
+    reference = _record("graph_construction_oracle",
+                        lambda: oracle_build_graph(bert_trace), rounds=3)
+    assert_same_graph(graph, reference)
+    assert (_RECORDS["graph_construction"] * 1.8
+            <= _RECORDS["graph_construction_oracle"])
 
 
 def test_perf_simulation(bert_graph):

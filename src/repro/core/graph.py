@@ -13,6 +13,7 @@ Structure (paper Section 4.2):
   primitive              complexity
   =====================  ==========
   ``append``             O(1)
+  ``extend``             O(k) for k tasks
   ``insert_after``       O(1)
   ``insert_before``      O(1)
   ``remove``             O(1) + O(preds x succs) when rewiring
@@ -46,11 +47,30 @@ the overlay's private structure and materializes nothing.
 
 import gc
 import weakref
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from repro.common.errors import GraphConsistencyError
 from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector around an allocation burst.
+
+    Building or copying a graph allocates tens of thousands of objects that
+    all stay live; a running collector would rescan them (and the rest of
+    the heap) mid-burst with nothing to free.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class DependencyGraph:
@@ -185,6 +205,48 @@ class DependencyGraph:
         self._pred[task] = set()
         return task
 
+    def extend(self, thread: ExecutionThread, tasks: List[Task]) -> None:
+        """Append ``tasks``, in order, at the end of ``thread``'s order.
+
+        The bulk form of :meth:`append` for graph construction: one pass
+        links the whole run.  Every task must claim ``thread`` and be new
+        to the graph (and appear once in ``tasks``); otherwise nothing is
+        linked and :class:`GraphConsistencyError` is raised.  O(len(tasks)).
+        """
+        if not tasks:
+            return
+        succ = self._succ
+        for task in tasks:
+            claimed = task.thread
+            if claimed is not thread and claimed != thread:
+                raise GraphConsistencyError(
+                    f"{task!r} linked on {thread} but claims {claimed}"
+                )
+        if len(set(tasks)) != len(tasks) or not succ.keys().isdisjoint(tasks):
+            seen: Set[Task] = set()
+            for task in tasks:
+                if task in succ or task in seen:
+                    raise GraphConsistencyError(
+                        f"task already in graph: {task!r}")
+                seen.add(task)
+        self._generation += 1
+        prev = self._tails.get(thread)
+        if prev is None:
+            self._heads[thread] = tasks[0]
+        self._tails[thread] = tasks[-1]
+        self._counts[thread] = self._counts.get(thread, 0) + len(tasks)
+        prev_map = self._prev
+        next_map = self._next
+        pred = self._pred
+        for task in tasks:
+            prev_map[task] = prev
+            next_map[task] = None
+            succ[task] = set()
+            pred[task] = set()
+            if prev is not None:
+                next_map[prev] = task
+            prev = task
+
     def insert_after(self, anchor: Task, task: Task) -> Task:
         """Insert ``task`` right after ``anchor`` in ``anchor``'s thread order.
 
@@ -301,28 +363,49 @@ class DependencyGraph:
         """Check graph invariants; raise :class:`GraphConsistencyError`.
 
         * linked-list order is internally consistent (counts, head/tail,
-          prev/next symmetry);
+          prev/next symmetry, every task on the thread it claims);
         * no explicit edge points backwards within one thread's order;
         * the combined graph (explicit edges + thread order) is acyclic.
+
+        One walk over the thread lists records positions and in-degrees,
+        then one topological pass consumes them.  A backward edge on an
+        ordered thread always closes a cycle with the thread order, so the
+        direction check only runs when the topological pass stalls; it
+        then reports the backward edge in preference to a plain cycle.
         """
+        prev_map = self._prev
+        next_map = self._next
+        pred = self._pred
+        unordered = self._unordered
         position: Dict[Task, int] = {}
+        indeg: Dict[Task, int] = {}
+        ready: List[Task] = []
         for thread, head in self._heads.items():
+            ordered = thread not in unordered
             prev = None
             count = 0
             task = head
             while task is not None:
-                if self._prev[task] is not prev:
+                if prev_map[task] is not prev:
                     raise GraphConsistencyError(
                         f"broken prev link at {task!r} on {thread}"
                     )
-                if task.thread != thread:
+                claimed = task.thread
+                if claimed is not thread and claimed != thread:
                     raise GraphConsistencyError(
-                        f"{task!r} linked on {thread} but claims {task.thread}"
+                        f"{task!r} linked on {thread} but claims {claimed}"
                     )
                 position[task] = count
+                deg = len(pred[task])
+                if ordered and count:
+                    deg += 1
+                if deg:
+                    indeg[task] = deg
+                else:
+                    ready.append(task)
                 count += 1
                 prev = task
-                task = self._next[task]
+                task = next_map[task]
             if self._tails[thread] is not prev:
                 raise GraphConsistencyError(f"broken tail link on {thread}")
             if self._counts[thread] != count:
@@ -335,44 +418,44 @@ class DependencyGraph:
                 f"{len(self._succ)} tasks in adjacency but "
                 f"{len(position)} linked in thread order"
             )
-        for src, dsts in self._succ.items():
-            for dst in dsts:
-                if src.thread == dst.thread and self.is_ordered(src.thread):
-                    if position[src] >= position[dst]:
-                        raise GraphConsistencyError(
-                            f"edge {src!r} -> {dst!r} contradicts thread order"
-                        )
-        self._topological_order()  # raises on cycle
-
-    def _topological_order(self) -> List[Task]:
-        indeg: Dict[Task, int] = {}
-        for thread in self._heads:
-            ordered = self.is_ordered(thread)
-            first = True
-            for task in self.iter_tasks_on(thread):
-                indeg[task] = len(self._pred[task]) + (
-                    0 if first or not ordered else 1)
-                first = False
-        ready = [t for t, d in indeg.items() if d == 0]
-        order: List[Task] = []
+        # Kahn's algorithm over explicit edges plus ordered thread links;
+        # ``indeg`` holds only tasks still waiting on a predecessor
+        succ = self._succ
+        done = 0
+        pop = ready.pop
+        push = ready.append
         while ready:
-            task = ready.pop()
-            order.append(task)
-            children: Iterable[Task] = self._succ[task]
-            if self.is_ordered(task.thread):
-                nxt = self._next[task]
-                if nxt is not None:
-                    children = list(children) + [nxt]
-            for child in children:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    ready.append(child)
-        if len(order) != len(self):
-            raise GraphConsistencyError(
-                f"dependency cycle: only {len(order)} of {len(self)} tasks "
-                "are reachable"
-            )
-        return order
+            task = pop()
+            done += 1
+            for child in succ[task]:
+                deg = indeg[child] - 1
+                if deg:
+                    indeg[child] = deg
+                else:
+                    del indeg[child]
+                    push(child)
+            nxt = next_map[task]
+            if nxt is not None and (not unordered
+                                    or task.thread not in unordered):
+                deg = indeg[nxt] - 1
+                if deg:
+                    indeg[nxt] = deg
+                else:
+                    del indeg[nxt]
+                    push(nxt)
+        if done == len(position):
+            return
+        for src, dsts in succ.items():
+            for dst in dsts:
+                if (src.thread == dst.thread and self.is_ordered(src.thread)
+                        and position[src] >= position[dst]):
+                    raise GraphConsistencyError(
+                        f"edge {src!r} -> {dst!r} contradicts thread order"
+                    )
+        raise GraphConsistencyError(
+            f"dependency cycle: only {done} of {len(position)} tasks "
+            "are reachable"
+        )
 
     # --------------------------------------------------------------- internals
 
@@ -390,16 +473,8 @@ class DependencyGraph:
         ask many questions).  For the common transform-and-simulate path
         prefer :meth:`overlay`, which skips cloning unmutated tasks.
         """
-        # everything allocated here stays live; pause the collector so the
-        # allocation burst doesn't trigger full scans mid-copy
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with collector_paused():
             return self._copy_impl()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _copy_impl(self) -> "DependencyGraph":
         out = DependencyGraph()

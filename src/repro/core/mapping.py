@@ -63,15 +63,31 @@ def _assign(task: Task, layer: str, phase: Optional[str]) -> int:
     """Assign layer/phase to a CPU task and its correlated GPU task."""
     count = 0
     if task.layer is None:
-        task.layer = layer
-        task.phase = phase
+        _write(task, layer, phase)
         count += 1
     launched = task.metadata.get("launches")
     if isinstance(launched, Task) and launched.layer is None:
-        launched.layer = layer
-        launched.phase = phase
+        _write(launched, layer, phase)
         count += 1
     return count
+
+
+def _write(task: Task, layer: str, phase: Optional[str]) -> None:
+    """Set ``layer``/``phase``, through the write barrier only if armed.
+
+    A task shared with an overlay (``_cow_base``) or captured by a
+    lowering (``_sim_stamp``) must be written through ``Task.__setattr__``
+    so the overlay materializes a clone and the lowering is invalidated.
+    Any other task — every task of a freshly built graph — is written
+    directly.
+    """
+    d = task.__dict__
+    if "_cow_base" in d or "_sim_stamp" in d:
+        task.layer = layer
+        task.phase = phase
+    else:
+        d["layer"] = layer
+        d["phase"] = phase
 
 
 def _marker_windows(

@@ -32,6 +32,13 @@ class TaskKind(enum.Enum):
         return self in (TaskKind.GPU_KERNEL, TaskKind.MEMCPY)
 
 
+def _check_times(name: str, duration: float, gap: float) -> None:
+    if duration < 0:
+        raise ConfigError(f"task {name!r} has negative duration")
+    if gap < 0:
+        raise ConfigError(f"task {name!r} has negative gap")
+
+
 @dataclass(eq=False)
 class Task:
     """One node in the dependency graph.
@@ -69,10 +76,7 @@ class Task:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ConfigError(f"task {self.name!r} has negative duration")
-        if self.gap < 0:
-            raise ConfigError(f"task {self.name!r} has negative gap")
+        _check_times(self.name, self.duration, self.gap)
 
     def __setattr__(self, name: str, value: object) -> None:
         # Copy-on-write write barrier: while a task is shared between a base
@@ -90,6 +94,41 @@ class Task:
         if stamp is not None:
             stamp.bump()
         object.__setattr__(self, name, value)
+
+    @classmethod
+    def _fresh(cls, name: str, kind: TaskKind, thread: ExecutionThread,
+               duration: float, gap: float, correlation_id: Optional[int],
+               size_bytes: float, trace_start_us: float,
+               metadata: Dict[str, object]) -> "Task":
+        """Build a new task without passing each field through the barrier.
+
+        A task still under construction belongs to no graph, so it can be
+        neither shared with an overlay nor stamped by a lowering: the write
+        barrier in ``__setattr__`` has nothing to guard.  The constructor
+        checks still apply.
+
+        Fields are stored one by one in declaration order, the order the
+        dataclass ``__init__`` writes them, so the instance dict keeps
+        sharing its keys with every other task's.  (Filling it with
+        ``__dict__.update`` instead would give each task a private key
+        table, nearly tripling the dict's size.)
+        """
+        _check_times(name, duration, gap)
+        task = object.__new__(cls)
+        d = task.__dict__
+        d["name"] = name
+        d["kind"] = kind
+        d["thread"] = thread
+        d["duration"] = duration
+        d["gap"] = gap
+        d["layer"] = None
+        d["phase"] = None
+        d["correlation_id"] = correlation_id
+        d["size_bytes"] = size_bytes
+        d["priority"] = 0
+        d["trace_start_us"] = trace_start_us
+        d["metadata"] = metadata
+        return task
 
     def clone(self) -> "Task":
         """A fast field-for-field clone (fresh identity, own metadata dict).
