@@ -14,6 +14,7 @@ same protocol (PR 1), so speedups vs seed are reproducible from the JSON
 alone.
 """
 
+import gc
 import json
 import os
 import sys
@@ -60,8 +61,8 @@ def _record(name: str, fn, rounds: int = 9):
     times = []
     result = None
     for _ in range(rounds):
-        # drop the previous round's result *before* timing: a retained
-        # overlay would otherwise charge this round for quiescing it
+        # drop the previous round's result *before* timing, so freeing it
+        # is not charged to this round
         result = None
         t0 = time.perf_counter()
         result = fn()
@@ -181,12 +182,17 @@ def test_perf_simulate_compiled(bert_graph):
 def test_perf_graph_copy(bert_graph):
     """Working-graph acquisition for one what-if question.
 
-    The question path now takes a copy-on-write overlay (tasks shared until
-    written) instead of a deep copy — that *is* the copy step sessions pay
-    per question; the full deep copy is tracked separately below.
+    The question path takes a copy-on-write overlay (tasks shared, writes
+    journaled) instead of a deep copy — opening and closing one *is* the
+    copy step sessions pay per question; the full deep copy is tracked
+    separately below.
     """
-    clone = _record("graph_copy", bert_graph.overlay, rounds=15)
-    assert len(clone) == len(bert_graph)
+    def open_and_close():
+        with bert_graph.overlay() as working:
+            return len(working)
+
+    size = _record("graph_copy", open_and_close, rounds=15)
+    assert size == len(bert_graph)
 
 
 def test_perf_graph_deepcopy(bert_graph):
@@ -199,24 +205,24 @@ def test_perf_fusedadam_transform(bert_trace, bert_graph):
     ctx = WhatIfContext.from_trace(bert_trace)
 
     def transform():
-        working = bert_graph.overlay()
-        FusedAdam().apply(working, ctx)
-        return working
+        with bert_graph.overlay() as working:
+            FusedAdam().apply(working, ctx)
+            return len(working)
 
-    graph = _record("fusedadam_transform", transform, rounds=9)
-    assert len(graph) < len(bert_graph)
+    size = _record("fusedadam_transform", transform, rounds=9)
+    assert size < len(bert_graph)
 
 
 def test_perf_amp_transform(bert_trace, bert_graph):
     ctx = WhatIfContext.from_trace(bert_trace)
 
     def transform():
-        working = bert_graph.overlay()
-        AutomaticMixedPrecision().apply(working, ctx)
-        return working
+        with bert_graph.overlay() as working:
+            AutomaticMixedPrecision().apply(working, ctx)
+            return len(working)
 
-    graph = _record("amp_transform", transform, rounds=5)
-    assert len(graph) == len(bert_graph)
+    size = _record("amp_transform", transform, rounds=5)
+    assert size == len(bert_graph)
 
 
 def test_perf_whatif_sweep(bert_session):
@@ -240,8 +246,9 @@ def test_perf_simulate_many(bert_session):
     """Batched multi-simulate: a 24-cell GPU-duration-scaling grid.
 
     One shared compiled baseline, each cell a sparse column patch — versus
-    the per-cell path (overlay + ~5k copy-on-write task writes + simulate
-    each).  The batched grid must be at least 5x faster and bit-identical.
+    the per-cell path (overlay + ~5k journaled task writes + simulate +
+    close each).  The batched grid must be at least 5x faster and
+    bit-identical.
     """
     from repro.core.compiled import CellDelta
 
@@ -254,15 +261,13 @@ def test_perf_simulate_many(bert_session):
                       lambda: bert_session.simulate_many(cells), rounds=3)
     assert len(batched) == 24
 
-    base = {t: t.duration for t in gpu}
-
     def per_cell():
         out = []
         for factor in factors:
-            working = graph.overlay()
-            for t in [t for t in working.tasks() if t.is_gpu]:
-                t.duration = base.get(t, t.duration) * factor
-            out.append(simulate(working))
+            with graph.overlay() as working:
+                for t in [t for t in working.tasks() if t.is_gpu]:
+                    t.duration *= factor
+                out.append(simulate(working))
         return out
 
     reference = _record("simulate_percell_24cell", per_cell, rounds=1)
@@ -270,6 +275,43 @@ def test_perf_simulate_many(bert_session):
                for b, r in zip(batched, reference))
     assert (_RECORDS["simulate_many_24cell"] * 5
             <= _RECORDS["simulate_percell_24cell"])
+
+
+def test_perf_predict_registry_mix(bert_trace, bert_session):
+    """All 13 registry optimizations through ``predict``: the journal vs
+    the deep copy.
+
+    The copy-on-write session answers each question on an overlay it
+    closes again; the ``copy_on_write=False`` reference transforms a deep
+    copy.  Quick gate: bit-identical predictions, and copy-on-write at
+    least 1.5x faster over the whole mix.
+    """
+    from helpers import registry_questions
+
+    questions = registry_questions("bert_large")
+    deep = WhatIfSession(bert_trace, bert_session.config, copy_on_write=False)
+    deep.baseline_result  # materialize outside the timed region
+
+    sides = {"predict_registry_mix": bert_session,
+             "predict_registry_mix_deepcopy": deep}
+    times = {name: [] for name in sides}
+    answers = {}
+    # alternate the sides so host noise hits both alike, and start every
+    # round on a clean heap: a deep copy is cyclic garbage (launch/kernel
+    # metadata links), which would otherwise be collected in the next round
+    for _ in range(5):
+        for name, session in sides.items():
+            gc.collect()
+            t0 = time.perf_counter()
+            answers[name] = [
+                session.predict(pipeline, cluster=cluster).predicted_us
+                for _, pipeline, cluster in questions]
+            times[name].append(time.perf_counter() - t0)
+    _RECORDS.update({name: min(seconds) for name, seconds in times.items()})
+    assert (answers["predict_registry_mix"]
+            == answers["predict_registry_mix_deepcopy"])
+    assert (_RECORDS["predict_registry_mix"] * 1.5
+            <= _RECORDS["predict_registry_mix_deepcopy"])
 
 
 def test_perf_fig8_sweep():

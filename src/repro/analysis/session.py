@@ -13,7 +13,7 @@ answer questions for many different optimizations"):
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import improvement_percent, speedup
 from repro.analysis.parallel import fork_map
@@ -21,9 +21,8 @@ from repro.core.breakdown import RuntimeBreakdown, compute_breakdown
 from repro.core.compiled import CellDelta, CompiledGraph, compiled_for
 from repro.core.compiled import simulate_many as _compiled_simulate_many
 from repro.core.construction import build_graph
-from repro.core.graph import DependencyGraph
+from repro.core.graph import DependencyGraph, collector_paused
 from repro.core.simulate import SimulationResult, simulate
-from repro.core.task import Task
 from repro.framework.config import TrainingConfig
 from repro.framework.engine import Engine
 from repro.hw.topology import ClusterSpec
@@ -76,9 +75,6 @@ class WhatIfSession:
         self.copy_on_write = copy_on_write
         self._graph: Optional[DependencyGraph] = None
         self._baseline: Optional[SimulationResult] = None
-        # old task -> pristine clone the base graph swapped in after a
-        # copy-on-write overlay materialized a write (see _on_task_swapped)
-        self._task_forward: Dict[Task, Task] = {}
 
     # ------------------------------------------------------------ constructors
 
@@ -133,43 +129,7 @@ class WhatIfSession:
         """The baseline dependency graph (constructed lazily, cached)."""
         if self._graph is None:
             self._graph = build_graph(self.trace)
-            # keep the cached baseline result keyed correctly when a
-            # copy-on-write overlay materializes a mutated task and the base
-            # graph swaps in a pristine clone
-            self._graph.add_swap_listener(self._on_task_swapped)
         return self._graph
-
-    def _on_task_swapped(self, old, new) -> None:
-        self._task_forward[old] = new
-        if self._baseline is not None:
-            start = self._baseline.start_us.pop(old, None)
-            if start is not None:
-                self._baseline.start_us[new] = start
-
-    def _current_task(self, task: Task) -> Task:
-        """Follow copy-on-write swaps to the task's current incarnation.
-
-        Baseline task references held across :meth:`predict`/:meth:`sweep`
-        calls can go stale: when an overlay materializes a write, the base
-        graph swaps in a pristine clone of the shared task.  The swap
-        chain is followed so a :class:`~repro.core.compiled.CellDelta`
-        built from ``session.graph.tasks()`` stays valid for the whole
-        session lifetime.
-        """
-        forward = self._task_forward
-        while task in forward:
-            task = forward[task]
-        return task
-
-    def _working_graph(self) -> DependencyGraph:
-        """A mutable graph for one what-if question.
-
-        Copy-on-write sessions hand out a cheap overlay (shares unmutated
-        tasks with the baseline); otherwise a full deep copy.
-        """
-        if self.copy_on_write:
-            return self.graph.overlay()
-        return self.graph.copy()
 
     @property
     def baseline_result(self) -> SimulationResult:
@@ -189,10 +149,10 @@ class WhatIfSession:
         Built once per graph generation and cached *on the graph* (see
         :func:`repro.core.compiled.compiled_for`), so every consumer —
         :meth:`simulate_many`, :meth:`sweep` cell batches, forked sweep
-        workers that inherit this session — shares one lowering.  The
-        existing copy-on-write write barrier invalidates it: any
+        workers that inherit this session — shares one lowering.  Any
         structural mutation or in-place task write bumps the graph
-        generation and the next access relowers.
+        generation (through the tasks' write stamps and overlay seals)
+        and the next access relowers.
         """
         return compiled_for(self.graph)
 
@@ -216,19 +176,38 @@ class WhatIfSession:
     ) -> Prediction:
         """Predict the effect of one optimization on iteration time.
 
-        The baseline graph is viewed copy-on-write (or deep-copied for
-        ``copy_on_write=False`` sessions), transformed by the optimization
-        model, and re-simulated (with the model's custom scheduler when
-        supplied).
+        The baseline graph is viewed through a copy-on-write overlay (or
+        deep-copied for ``copy_on_write=False`` sessions), transformed by
+        the optimization model, and re-simulated (with the model's custom
+        scheduler when supplied).  The overlay is closed — every base task
+        it wrote restored in place — before this returns, also when the
+        transform raises.
+
+        The question runs with the cyclic collector paused: everything it
+        allocates is dropped (freed by reference counting) before the
+        collector resumes, so no question's garbage is promoted into, or
+        makes a full collection rescan, the warm session.
         """
-        working = self._working_graph()
-        outcome = optimization.apply(working, self.context(cluster))
-        result = simulate(outcome.graph, outcome.scheduler)
+        with collector_paused():
+            baseline_us = self.baseline_us
+            predicted_us = self._predicted_us(optimization, cluster)
         return Prediction(
             optimization=optimization.name,
-            baseline_us=self.baseline_us,
-            predicted_us=result.makespan_us,
+            baseline_us=baseline_us,
+            predicted_us=predicted_us,
         )
+
+    def _predicted_us(self, optimization: OptimizationModel,
+                      cluster: Optional[ClusterSpec]) -> float:
+        # a frame of its own: the working graph, outcome and result die
+        # when it returns, before predict() resumes the collector
+        context = self.context(cluster)
+        if not self.copy_on_write:
+            outcome = optimization.apply(self.graph.copy(), context)
+            return simulate(outcome.graph, outcome.scheduler).makespan_us
+        with self.graph.overlay() as working:
+            outcome = optimization.apply(working, context)
+            return simulate(outcome.graph, outcome.scheduler).makespan_us
 
     def predict_simulation(
         self,
@@ -236,9 +215,12 @@ class WhatIfSession:
         cluster: Optional[ClusterSpec] = None,
     ):
         """Like :meth:`predict` but returns ``(graph, SimulationResult)``
-        for deeper inspection (per-task start times, breakdowns)."""
-        working = self._working_graph()
-        outcome = optimization.apply(working, self.context(cluster))
+        for deeper inspection (per-task start times, breakdowns).
+
+        The caller keeps the transformed graph, so it is built on a deep
+        copy of the baseline rather than on a question-scoped overlay.
+        """
+        outcome = optimization.apply(self.graph.copy(), self.context(cluster))
         result = simulate(outcome.graph, outcome.scheduler)
         return outcome.graph, result
 
@@ -262,16 +244,6 @@ class WhatIfSession:
         ``scheduler`` must be heap-friendly (a
         :class:`~repro.core.simulate.SchedulePolicy` or ``None``).
         """
-        if self._task_forward:
-            cells = [
-                CellDelta(
-                    label=cell.label,
-                    durations={self._current_task(t): v
-                               for t, v in cell.durations.items()},
-                    gaps={self._current_task(t): v
-                          for t, v in cell.gaps.items()},
-                ) for cell in cells
-            ]
         return _compiled_simulate_many(self.compiled_baseline(), list(cells),
                                        scheduler)
 

@@ -28,12 +28,13 @@ flat, densely indexed arrays and runs Algorithm 1 over integers:
 
 Invalidation contract (see ``docs/perf.md``): a compiled graph is cached
 on its ``DependencyGraph`` keyed by the graph's mutation generation.
-Structural mutations (append/insert/remove/edges/``mark_unordered``/
-copy-on-write task swaps) bump the generation directly; in-place ``Task``
-field writes bump it through the write stamp the lowering pass leaves on
-each task (``Task.__setattr__`` consults it exactly like the existing
-copy-on-write barrier).  A stale cache is therefore impossible — at worst
-a conservative bump forces one redundant relowering.
+Structural mutations (append/insert/remove/edges/``mark_unordered``) bump
+the generation directly; in-place ``Task`` field writes bump it through the
+write stamp the lowering pass leaves on each task (``Task.__setattr__``
+consults it right after the copy-on-write barrier), or through the seal a
+closed overlay left when its own lowering overwrote the stamp.  A stale
+cache is therefore impossible — at worst a conservative bump forces one
+redundant relowering.
 """
 
 import heapq
@@ -486,10 +487,13 @@ def compiled_for(graph) -> CompiledGraph:
     """The cached :class:`CompiledGraph` of ``graph``, relowered when stale.
 
     Validity is keyed on the graph's mutation generation: structural
-    mutations and copy-on-write materializations bump it directly, and
-    in-place task field writes bump it through the write stamps
-    :meth:`CompiledGraph.build` leaves behind.
+    mutations bump it directly, and in-place task field writes bump it
+    through the write stamps :meth:`CompiledGraph.build` leaves behind (or
+    through the seal an overlay left, when that overlay's own lowering
+    overwrote the stamp).  Raises :class:`GraphConsistencyError` on a
+    locked graph (the base of an open overlay, or a closed overlay).
     """
+    graph._check_unlocked()
     compiled = graph._compiled
     generation = graph._generation
     if compiled is not None and compiled.generation == generation:

@@ -21,7 +21,8 @@ Structure (paper Section 4.2):
   ``thread_predecessor`` O(1)
   ``add_dependency``     O(1)
   ``copy``               O(N + E)
-  ``overlay``            O(N) pointer copies, no task cloning
+  ``overlay``            O(N + E) pointer copies, no task cloning
+  ``close``              O(written tasks)
   =====================  ==========
 
 * **explicit edges** — cross-thread dependencies: launch->kernel correlation,
@@ -34,21 +35,21 @@ transformation primitives in :mod:`repro.core.transform`.
 Copy-on-write overlays
 ----------------------
 
-:meth:`DependencyGraph.overlay` builds a cheap writable view for what-if
-questions: the overlay gets private copies of the *structure* (edges and
-thread links — plain pointer maps) but shares the :class:`Task` objects with
-the base graph.  Shared tasks carry a write barrier (see
-``Task.__setattr__``): the first attribute write to a shared task makes the
-base graph swap in a pristine clone of it (keeping cached simulation results
-consistent via swap listeners), so only *mutated* tasks are ever
-materialized.  Removing tasks or rewiring edges in the overlay touches only
-the overlay's private structure and materializes nothing.
+:meth:`DependencyGraph.overlay` opens a cheap writable view scoped to one
+what-if question: the overlay gets private copies of the *structure* (edges
+and thread links — plain pointer maps) but shares the :class:`Task` objects
+with the base graph.  Shared tasks carry a seal that arms a write barrier
+(see ``Task.__setattr__``): the first attribute write to a shared task saves
+its pristine state in an undo journal, and :meth:`DependencyGraph.close`
+writes every journaled task back in place.  Removing tasks or rewiring edges
+in the overlay touches only the overlay's private structure.  While the
+overlay is open the base holds the question's values, so the base is
+locked: using it raises instead of answering with the wrong numbers.
 """
 
 import gc
-import weakref
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import GraphConsistencyError
 from repro.core.task import Task
@@ -86,11 +87,13 @@ class DependencyGraph:
         self._tails: Dict[ExecutionThread, Task] = {}
         self._counts: Dict[ExecutionThread, int] = {}
         self._unordered: Set[ExecutionThread] = set()
-        # copy-on-write bookkeeping
-        self._overlays: List["weakref.ref[DependencyGraph]"] = []
-        self._swap_listeners: List[Callable[[Task, Task], None]] = []
+        # copy-on-write bookkeeping: an overlay points at its base; a base
+        # holds its open overlay's undo journal; _lock is the error message
+        # while the graph must not be used (base of an open overlay, or a
+        # closed overlay)
         self._cow_base: Optional["DependencyGraph"] = None
-        self._shared: Set[Task] = set()
+        self._journal: Optional[Dict[Task, Tuple[dict, dict]]] = None
+        self._lock: Optional[str] = None
         # compiled-lowering cache (see repro.core.compiled): _generation
         # counts mutations; the cached CompiledGraph is valid only while
         # its captured generation matches
@@ -108,6 +111,7 @@ class DependencyGraph:
         *scheduler* decides ordering — which is exactly how P3's priority
         rescheduling works (paper Section 4.4, Schedule).
         """
+        self._check_unlocked()
         self._unordered.add(thread)
         self._generation += 1
 
@@ -187,6 +191,7 @@ class DependencyGraph:
 
     def append(self, task: Task) -> Task:
         """Append a task at the end of its thread's order.  O(1)."""
+        self._check_unlocked()
         if task in self._succ:
             raise GraphConsistencyError(f"task already in graph: {task!r}")
         self._generation += 1
@@ -213,6 +218,7 @@ class DependencyGraph:
         to the graph (and appear once in ``tasks``); otherwise nothing is
         linked and :class:`GraphConsistencyError` is raised.  O(len(tasks)).
         """
+        self._check_unlocked()
         if not tasks:
             return
         succ = self._succ
@@ -253,6 +259,7 @@ class DependencyGraph:
         ``task.thread`` is forced to ``anchor.thread`` (the paper's insert
         primitive inserts into an execution thread's linked list).  O(1).
         """
+        self._check_unlocked()
         self._require(anchor)
         if task in self._succ:
             raise GraphConsistencyError(f"task already in graph: {task!r}")
@@ -274,6 +281,7 @@ class DependencyGraph:
 
     def insert_before(self, anchor: Task, task: Task) -> Task:
         """Insert ``task`` right before ``anchor`` in thread order.  O(1)."""
+        self._check_unlocked()
         self._require(anchor)
         if task in self._succ:
             raise GraphConsistencyError(f"task already in graph: {task!r}")
@@ -301,6 +309,7 @@ class DependencyGraph:
         removed node.  Sequential thread order heals automatically (the
         linked-list splice joins the neighbors).
         """
+        self._check_unlocked()
         succs = self._succ.pop(task, None)
         if succs is None:
             raise GraphConsistencyError(f"task not in graph: {task!r}")
@@ -336,11 +345,10 @@ class DependencyGraph:
             else:
                 self._prev[nxt] = prv
             self._counts[thread] -= 1
-        if self._cow_base is not None:
-            self._shared.discard(task)
 
     def add_dependency(self, src: Task, dst: Task) -> None:
         """Add an explicit edge ``src -> dst``.  O(1)."""
+        self._check_unlocked()
         self._require(src)
         self._require(dst)
         if src is dst:
@@ -351,6 +359,7 @@ class DependencyGraph:
 
     def remove_dependency(self, src: Task, dst: Task) -> None:
         """Remove an explicit edge if present.  O(1)."""
+        self._check_unlocked()
         self._require(src)
         self._require(dst)
         self._generation += 1
@@ -473,6 +482,7 @@ class DependencyGraph:
         ask many questions).  For the common transform-and-simulate path
         prefer :meth:`overlay`, which skips cloning unmutated tasks.
         """
+        self._check_unlocked()
         with collector_paused():
             return self._copy_impl()
 
@@ -550,20 +560,23 @@ class DependencyGraph:
     # ------------------------------------------------------------ copy-on-write
 
     def overlay(self) -> "DependencyGraph":
-        """Build a copy-on-write view of this graph.
+        """Open a copy-on-write view of this graph for one what-if question.
 
-        The overlay owns private structure (edges, thread links) but shares
-        task objects with this graph until they are written; the first
-        attribute write to a shared task materializes it (this graph swaps in
-        a pristine clone and keeps the mutated original for the overlay).
-        Mutating the overlay never changes what this graph's tasks look like.
+        The overlay owns private structure (edges, thread links) and shares
+        every task object with this graph.  The first attribute write to a
+        shared task saves its pristine state in the overlay's journal;
+        :meth:`close` (or leaving the ``with`` block) restores every
+        journaled task in place, so base tasks keep their identity for the
+        life of the graph.  Until then this graph holds the question's
+        values and is locked: simulating, lowering, copying, overlaying or
+        mutating it raises :class:`GraphConsistencyError`.
 
         Overlays do not nest; asking an overlay for an overlay falls back to
         a full :meth:`copy`.
         """
+        self._check_unlocked()
         if self._cow_base is not None:
             return self.copy()
-        self._quiesce_overlays()
         out = DependencyGraph()
         out._unordered = set(self._unordered)
         out._succ = {t: set(s) for t, s in self._succ.items()}
@@ -574,134 +587,65 @@ class DependencyGraph:
         out._tails = dict(self._tails)
         out._counts = dict(self._counts)
         out._cow_base = self
-        out._shared = set(self._succ)
         for task in self._succ:
             task.__dict__["_cow_base"] = self
-        self._overlays.append(weakref.ref(out))
+        self._journal = {}
+        self._lock = (f"{self!r} is locked by its open overlay {out!r}; "
+                      "close the overlay (or leave its with block) first")
         return out
 
-    def add_swap_listener(self, listener: Callable[[Task, Task], None]) -> None:
-        """Register ``listener(old, new)`` for copy-on-write task swaps.
+    def close(self) -> None:
+        """Close an overlay: restore every task it wrote, unlock its base.
 
-        Holders of task-keyed caches (e.g. a cached baseline
-        ``SimulationResult``) use this to re-key when the base graph swaps a
-        written-to shared task for its pristine clone.
+        Each journaled task gets back its saved instance-dict values in
+        place — same object, key order and dict size, as long as the
+        question wrote existing attributes only — and its metadata
+        contents.  O(written tasks).  Idempotent; a no-op on a graph that is not an
+        overlay.  A closed overlay can no longer be simulated or mutated.
         """
-        self._swap_listeners.append(listener)
+        base = self._cow_base
+        if base is None or self._lock is not None:
+            return
+        for task, (state, metadata) in base._journal.items():
+            d = task.__dict__
+            d.pop("_sim_stamp", None)
+            d.update(state)
+            saved = state["metadata"]
+            if saved != metadata:
+                saved.clear()
+                saved.update(metadata)
+        base._journal = None
+        base._lock = None
+        self._lock = (f"{self!r} is closed; its base graph has been "
+                      "restored")
 
-    def _live_overlays(self) -> List["DependencyGraph"]:
-        alive: List[DependencyGraph] = []
-        refs: List[weakref.ref] = []
-        for ref in self._overlays:
-            overlay = ref()
-            if overlay is not None:
-                alive.append(overlay)
-                refs.append(ref)
-        self._overlays = refs
-        return alive
+    def __enter__(self) -> "DependencyGraph":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _cow_task_written(self, task: Task) -> None:
-        """Write-barrier hook: a shared task is about to be mutated.
+        """Write-barrier hook: a task sealed by this base is being written.
 
         Called by ``Task.__setattr__`` *before* the write lands, so the
-        task's current state is still pristine.  The base keeps a pristine
-        clone; the (single active) overlay keeps the original, which the
-        writer is holding a reference to.
+        task's state is still pristine.  While an overlay is open the
+        state is journaled for :meth:`close`; after it closed, the seal
+        stands in for a lowering stamp the overlay's own lowering may have
+        overwritten, so the write invalidates this graph's lowering.
         """
-        task.__dict__.pop("_cow_base", None)
-        # the write invalidates any compiled lowering holding this task —
-        # ours, and any live overlay's (the overlay keeps the written-to
-        # object; its write stamp may have been overwritten by a later
-        # base lowering, so bump the overlays explicitly)
-        self._generation += 1
-        overlays = self._live_overlays()
-        for overlay in overlays:
-            overlay._generation += 1
-        if task not in self._succ:
-            return
-        if not overlays:
-            return  # no overlay alive: a direct base write mutates in place
-        self._materialize_in_base(self._metadata_group(task), overlays)
-
-    def _metadata_group(self, task: Task) -> List[Task]:
-        """``task`` plus tasks transitively linked via task-valued metadata.
-
-        Launch APIs and their kernels reference each other through
-        ``launches``/``launched_by`` metadata; swapping one without the other
-        would leave the base pointing at an overlay-owned task.
-        """
-        group = [task]
-        seen = {task}
-        queue = [task]
-        while queue:
-            for value in queue.pop().metadata.values():
-                if (isinstance(value, Task) and value not in seen
-                        and value in self._succ):
-                    seen.add(value)
-                    group.append(value)
-                    queue.append(value)
-        return group
-
-    def _materialize_in_base(self, group: List[Task],
-                             overlays: List["DependencyGraph"]) -> None:
-        clone_of: Dict[Task, Task] = {}
-        for member in group:
-            member.__dict__.pop("_cow_base", None)
-            clone = member.clone()
-            clone_of[member] = clone
-            for overlay in overlays:
-                overlay._shared.discard(member)
-        for member, clone in clone_of.items():
-            self._swap_task(member, clone)
-            metadata = clone.metadata
-            for key, value in metadata.items():
-                if isinstance(value, Task) and value in clone_of:
-                    metadata[key] = clone_of[value]
-
-    def _swap_task(self, old: Task, new: Task) -> None:
-        """Replace ``old`` with ``new`` in place (same edges, same position)."""
-        self._generation += 1
-        succs = self._succ.pop(old)
-        preds = self._pred.pop(old)
-        self._succ[new] = succs
-        self._pred[new] = preds
-        for s in succs:
-            pred_s = self._pred[s]
-            pred_s.discard(old)
-            pred_s.add(new)
-        for p in preds:
-            succ_p = self._succ[p]
-            succ_p.discard(old)
-            succ_p.add(new)
-        thread = new.thread
-        prv = self._prev.pop(old)
-        nxt = self._next.pop(old)
-        self._prev[new] = prv
-        self._next[new] = nxt
-        if prv is None:
-            self._heads[thread] = new
+        d = task.__dict__
+        journal = self._journal
+        if journal is not None and task in self._succ:
+            journal[task] = (dict(d), dict(d["metadata"]))
         else:
-            self._next[prv] = new
-        if nxt is None:
-            self._tails[thread] = new
-        else:
-            self._prev[nxt] = new
-        for listener in self._swap_listeners:
-            listener(old, new)
+            self._generation += 1
+        del d["_cow_base"]
 
-    def _quiesce_overlays(self) -> None:
-        """Detach still-live overlays before handing out a new one.
+    def _check_unlocked(self) -> None:
+        if self._lock is not None:
+            raise GraphConsistencyError(self._lock)
 
-        A retained overlay (e.g. the graph returned by
-        ``predict_simulation``) may still share tasks with the base; give the
-        base pristine clones of everything still shared so the old overlay
-        can keep mutating its tasks without write barriers.
-        """
-        for overlay in self._live_overlays():
-            if not overlay._shared:
-                continue
-            group = [t for t in overlay._shared if t in self._succ]
-            overlay._shared.clear()
-            if group:
-                self._materialize_in_base(group, [])
-        self._overlays = []
+    def __repr__(self) -> str:
+        kind = "overlay" if self._cow_base is not None else "DependencyGraph"
+        return f"<{kind} of {len(self)} tasks at {id(self):#x}>"

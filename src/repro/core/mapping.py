@@ -75,10 +75,10 @@ def _assign(task: Task, layer: str, phase: Optional[str]) -> int:
 def _write(task: Task, layer: str, phase: Optional[str]) -> None:
     """Set ``layer``/``phase``, through the write barrier only if armed.
 
-    A task shared with an overlay (``_cow_base``) or captured by a
-    lowering (``_sim_stamp``) must be written through ``Task.__setattr__``
-    so the overlay materializes a clone and the lowering is invalidated.
-    Any other task — every task of a freshly built graph — is written
+    A task sealed by an overlay (``_cow_base``) or captured by a lowering
+    (``_sim_stamp``) must be written through ``Task.__setattr__`` so the
+    overlay journals it for undo and the lowering is invalidated.  Any
+    other task — every task of a freshly built graph — is written
     directly.
     """
     d = task.__dict__

@@ -188,7 +188,10 @@ def simulate(
     Raises:
         SimulationError: if the graph deadlocks (cycle), or a custom
             scheduler returns a task that is not in the frontier.
+        GraphConsistencyError: if the graph is locked — the base of an
+            open overlay, or a closed overlay.
     """
+    graph._check_unlocked()
     if scheduler is None:
         scheduler = _DEFAULT_POLICY
     if isinstance(scheduler, SchedulePolicy):

@@ -79,18 +79,20 @@ class Task:
         _check_times(self.name, self.duration, self.gap)
 
     def __setattr__(self, name: str, value: object) -> None:
-        # Copy-on-write write barrier: while a task is shared between a base
-        # graph and an overlay (graph.overlay()), the base stashes itself
-        # under ``_cow_base``; the first attribute write materializes a
-        # pristine clone in the base before the mutation lands here.
-        base = self.__dict__.get("_cow_base")
+        # Copy-on-write write barrier: opening an overlay (graph.overlay())
+        # seals every base task with ``_cow_base``; the first attribute
+        # write journals the task's pristine state for the overlay's undo
+        # (or, once the overlay has closed, invalidates the base's lowering)
+        # before the mutation lands here.
+        d = self.__dict__
+        base = d.get("_cow_base")
         if base is not None:
             base._cow_task_written(self)
         # Compiled-lowering write barrier: a lowering pass (see
         # repro.core.compiled) stamps every task it captured; the first
         # in-place write pops the stamp and bumps the owning graph's
         # mutation generation so the cached CompiledGraph is rebuilt.
-        stamp = self.__dict__.pop("_sim_stamp", None)
+        stamp = d.pop("_sim_stamp", None)
         if stamp is not None:
             stamp.bump()
         object.__setattr__(self, name, value)

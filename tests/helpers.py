@@ -7,6 +7,8 @@ conftest pytest put on ``sys.path`` first (historically this picked up
 collection).
 """
 
+from typing import List, Tuple
+
 from repro.models.base import ModelSpec
 from repro.models.blocks import (
     batchnorm_layer,
@@ -37,3 +39,32 @@ def make_tiny_model(batch: int = 4, optimizer: str = "adam") -> ModelSpec:
         default_optimizer=optimizer,
         application="testing",
     )
+
+
+#: comm rewrites ride on a gradient-sync member, which needs a cluster
+_SYNC_FIRST = ("blueconnect", "dgc")
+#: a Figure-8 deployment: 2 machines x 2 GPUs over 10 Gbps
+_FIG8_CLUSTER = {"machines": 2, "gpus_per_machine": 2, "bandwidth_gbps": 10.0}
+
+
+def registry_questions(model: str) -> List[Tuple[str, object, object]]:
+    """One ``(key, pipeline, cluster)`` question per registry optimization.
+
+    Each optimization runs with its default parameters; distributed ones
+    get a Figure-8 cluster, and ``blueconnect``/``dgc`` are stacked after
+    ``distributed_training``, which inserts the transfers they rewrite.
+    """
+    from repro.scenarios import Scenario
+    from repro.scenarios.registry import DEFAULT_REGISTRY
+    questions = []
+    for spec in DEFAULT_REGISTRY.specs():
+        stack = [spec.key]
+        if spec.key in _SYNC_FIRST:
+            stack.insert(0, "distributed_training")
+        data = {"model": model, "optimizations": stack}
+        if spec.requires_cluster or spec.key in _SYNC_FIRST:
+            data["cluster"] = dict(_FIG8_CLUSTER)
+        scenario = Scenario.from_dict(data)
+        questions.append((spec.key, scenario.build_pipeline(),
+                          scenario.build_cluster()))
+    return questions

@@ -5,8 +5,8 @@ Covers the contracts :mod:`repro.core.compiled` documents:
 * stable ordinals are a pure function of graph data (thread-major);
 * the compiled lowering is cached per graph generation and invalidated by
   every mutation class — structural splices, edge changes, thread order
-  flags, copy-on-write swaps, and in-place task field writes (through the
-  write stamp);
+  flags, and in-place task field writes (through the write stamp, or the
+  seal a closed overlay left);
 * ``simulate_many`` answers a shared-baseline cell grid bit-identically
   to mutating and simulating each cell's graph from scratch;
 * the satellites: ``_simulate_reference`` scrubs ``_ready_us`` on failure,
@@ -138,15 +138,23 @@ class TestCompiledCache:
 
     def test_overlay_write_invalidates_base_and_overlay(self):
         g = small_graph()
-        overlay = g.overlay()
         base_compiled = compiled_for(g)
-        overlay_compiled = compiled_for(overlay)
-        overlay.tasks()[1].duration = 42.0  # COW write through the barrier
-        assert compiled_for(g) is not base_compiled
-        assert compiled_for(overlay) is not overlay_compiled
+        with g.overlay() as overlay:
+            overlay_compiled = compiled_for(overlay)
+            overlay.tasks()[1].duration = 42.0  # COW write through the barrier
+            assert compiled_for(overlay) is not overlay_compiled
+            assert (compiled_for(overlay).run().start_us
+                    == simulate(overlay).start_us)
+        # closing restored the write; the base lowering matches the base
+        assert compiled_for(g).run().start_us == base_compiled.run().start_us
         assert compiled_for(g).run().start_us == simulate(g).start_us
-        assert (compiled_for(overlay).run().start_us
-                == simulate(overlay).start_us)
+        # writes on the base after close relower it: a task the overlay
+        # journaled, and one whose stamp the overlay's lowering overwrote
+        for task in (g.tasks()[1], g.tasks()[2]):
+            before = compiled_for(g)
+            task.duration = 17.0
+            assert compiled_for(g) is not before
+            assert compiled_for(g).run().start_us == simulate(g).start_us
 
     def test_lazy_predecessor_csr_transposes_successors(self):
         g = small_graph()

@@ -4,7 +4,8 @@
   dicts, exactly like dataclass-constructed tasks, and carry no
   copy-on-write or lowering seal.
 * Barrier: layer mapping still writes through the barrier wherever it is
-  armed — on an overlay's shared tasks and on a lowered graph.
+  armed — on an overlay's shared tasks (undone when the overlay closes)
+  and on a lowered graph.
 * Errors: every check the bulk linker and the fused ``validate`` make still
   raises, each with its own message.
 """
@@ -94,18 +95,21 @@ def test_task_dicts_share_keys_in_a_fresh_interpreter():
 
 # ----------------------------------------------------------------- barrier
 
-def test_mapping_an_overlay_materializes_clones(tiny_trace):
+def test_mapping_an_overlay_is_undone_on_close(tiny_trace):
     base = build_graph(tiny_trace, map_layers=False)
     before = base.tasks()
-    overlay = base.overlay()
-    assert map_tasks_to_layers(overlay, tiny_trace) > 0
-    mapped = [t for t in overlay.tasks() if t.layer is not None]
-    assert mapped
-    # the base swapped in pristine clones for every task the mapping wrote
-    assert all(t.layer is None and t.phase is None for t in base.tasks())
-    base_ids = {id(t) for t in base.tasks()}
-    assert not any(id(t) in base_ids for t in mapped)
-    assert len(base.tasks()) == len(before)
+    with base.overlay() as overlay:
+        sizes = [sys.getsizeof(t.__dict__) for t in before]
+        assert map_tasks_to_layers(overlay, tiny_trace) > 0
+        mapped = [t for t in overlay.tasks() if t.layer is not None]
+        assert mapped
+    # the mapping wrote shared tasks through the barrier; closing the
+    # overlay wrote every one back in place
+    after = base.tasks()
+    assert all(a is b for a, b in zip(after, before))
+    assert len(after) == len(before)
+    assert all(t.layer is None and t.phase is None for t in after)
+    assert [sys.getsizeof(t.__dict__) for t in after] == sizes
 
 
 def test_mapping_a_lowered_graph_bumps_the_generation(tiny_trace):
