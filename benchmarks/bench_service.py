@@ -10,6 +10,11 @@ request latency, sustained QPS, and the warm-hit ratio under load.  Every
 response is also checked against the serial path, so the load test is a
 correctness test at volume.
 
+A second row times one warm memo hit in-process (no HTTP) against one
+``build_model`` of the same model in the same process: a hit validates an
+already-proved workload and reads the store, so it must cost a small
+fraction of one model build (gate: at most ``HIT_VS_BUILD_MAX``).
+
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke) shrinks the client
 count and request volume and writes ``BENCH_service_quick.json`` so the
 committed full-mode record never gets clobbered by a CI runner's timings.
@@ -24,6 +29,7 @@ import time
 import urllib.request
 
 from conftest import run_once
+from repro.models.registry import build_model
 from repro.scenarios import (
     PredictServer,
     PredictService,
@@ -42,6 +48,25 @@ BENCH_SERVICE_JSON = os.path.join(
 
 CLIENTS = 2 if QUICK else 8
 REQUESTS_PER_CLIENT = 5 if QUICK else 40
+
+#: a warm in-process memo hit may cost at most this many model builds
+HIT_VS_BUILD_MAX = 0.25
+#: in-process timing: best of REPEATS means over CALLS calls each
+REPEATS = 3 if QUICK else 7
+CALLS = 20 if QUICK else 100
+
+
+def _record(fields):
+    """Merge one benchmark's fields into the service record."""
+    try:
+        with open(BENCH_SERVICE_JSON) as f:
+            record = json.load(f)
+    except (OSError, ValueError):
+        record = {}
+    record.update(fields)
+    with open(BENCH_SERVICE_JSON, "w") as f:
+        json.dump(record, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def _scenario_mix():
@@ -152,10 +177,55 @@ def test_service_latency_qps_and_warm_hits(benchmark):
                     "per request, every row checked against the serial "
                     "path",
     }
-    with open(BENCH_SERVICE_JSON, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _record(payload)
 
     assert warm_ratio >= 0.99, payload
     assert qps > (1.0 if QUICK else 20.0), payload
     assert p99_ms >= p50_ms > 0.0, payload
+
+
+def _best_mean_s(call) -> float:
+    """Best-of-REPEATS mean seconds per call over CALLS calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            call()
+        best = min(best, (time.perf_counter() - t0) / CALLS)
+    return best
+
+
+def test_memo_hit_costs_a_fraction_of_one_model_build(benchmark):
+    """A warm in-process hit builds no model spec: a fraction of one build."""
+    scenario = Scenario(model="resnet50", optimizations=["amp"])
+    payload = scenario.to_dict()
+    expected = ScenarioRunner().run(scenario).as_row()
+    tmp = tempfile.mkdtemp(prefix="bench-service-hit-")
+
+    def run():
+        service = PredictService(store=SweepStore(os.path.join(tmp, "store")))
+        cold = service.predict(payload)
+        warm = service.predict(payload)
+        hit_s = _best_mean_s(lambda: service.predict(payload))
+        build_s = _best_mean_s(lambda: build_model(scenario.model))
+        return cold, warm, hit_s, build_s
+
+    try:
+        cold, warm, hit_s, build_s = run_once(benchmark, run)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    assert cold["cached"] is False and warm["cached"] is True
+    assert cold["row"] == warm["row"] == expected
+    fields = {
+        "memo_hit_ms": round(hit_s * 1000.0, 4),
+        "memo_hit_build_model_ms": round(build_s * 1000.0, 4),
+        "memo_hit_vs_build": round(hit_s / build_s, 4),
+        "memo_hit_protocol": f"in-process PredictService.predict of one "
+                             f"memoized {scenario.label()!r} (no HTTP) "
+                             f"vs one build_model({scenario.model!r}) in "
+                             f"the same process; best of {REPEATS} means "
+                             f"over {CALLS} calls each",
+    }
+    _record(fields)
+    assert hit_s <= HIT_VS_BUILD_MAX * build_s, fields

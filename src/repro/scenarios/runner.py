@@ -16,10 +16,11 @@ pipeline that experiments, examples and the CLI used to wire by hand:
 Outcomes expose the underlying session, model spec, config and cluster so
 experiment modules can add ground-truth columns without re-wiring anything.
 Cache-served outcomes are *detached*: they carry the stored timings and the
-cheap-to-build model/config/cluster specs, but no profiled session.
+config/cluster specs, but no profiled session, and build their model spec
+only when a caller reads :attr:`ScenarioOutcome.model`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import improvement_percent
@@ -35,6 +36,19 @@ from repro.scenarios.registry import DEFAULT_REGISTRY, OptimizationRegistry
 from repro.scenarios.scenario import Scenario, ScenarioGrid
 
 
+def builder_token(model: str) -> object:
+    """Identity of the runtime builder registered for one model name.
+
+    ``None`` for shipped zoo models (immutable within a process); the
+    builder callable itself for runtime registrations.  Re-registering a
+    model with ``overwrite=True`` changes the identity, so state keyed by
+    it — a cached session profiled against the old model, a workload
+    proved valid under the old builder — is rebuilt instead of serving
+    the *old* model under the new model's name.
+    """
+    return runtime_registered_models().get(model.lower())
+
+
 @dataclass
 class ScenarioOutcome:
     """The result of running one scenario.
@@ -43,18 +57,28 @@ class ScenarioOutcome:
     optimization stack asks "how long is one iteration?", nothing more)
     and for cache-served outcomes, whose timings come from the store.
     ``session`` is ``None`` for outcomes that never simulated locally
-    (store hits, process-pool cells).
+    (store hits, process-pool cells).  ``model_spec`` is the spec the
+    session was profiled from; detached outcomes leave it unset and
+    :attr:`model` builds it on first read, so a store hit whose row is
+    all its caller wants never rebuilds every kernel spec of the model.
     """
 
     scenario: Scenario
     baseline_us: float
     predicted_us: float
-    model: ModelSpec
     config: TrainingConfig
     cluster: Optional[ClusterSpec]
     session: Optional[WhatIfSession] = None
     prediction: Optional[Prediction] = None
     cached: bool = False
+    model_spec: Optional[ModelSpec] = field(default=None, repr=False)
+
+    @property
+    def model(self) -> ModelSpec:
+        """The workload's model spec (built on first read if detached)."""
+        if self.model_spec is None:
+            self.model_spec = self.scenario.build_model()
+        return self.model_spec
 
     @property
     def improvement_percent(self) -> float:
@@ -105,18 +129,6 @@ class ScenarioRunner:
     def _session_key(scenario: Scenario, config: TrainingConfig) -> object:
         return (scenario.model, scenario.batch_size, config)
 
-    @staticmethod
-    def _builder_token(scenario: Scenario) -> object:
-        """Identity of the runtime builder behind a scenario's model name.
-
-        ``None`` for shipped zoo models (immutable within a process).  A
-        cached session whose token no longer matches was profiled against
-        a model that has since been re-registered (``register_model(...,
-        overwrite=True)``) — trusting it would serve the *old* model's
-        timings under the new model's name, so it is rebuilt instead.
-        """
-        return runtime_registered_models().get(scenario.model.lower())
-
     def session(self, scenario: Scenario) -> WhatIfSession:
         """The profiled session for a scenario's workload (cached)."""
         return self._session_entry(scenario)[0]
@@ -126,7 +138,7 @@ class ScenarioRunner:
     ) -> Tuple[WhatIfSession, ModelSpec, TrainingConfig]:
         config = scenario.build_config()
         key = self._session_key(scenario, config)
-        token = self._builder_token(scenario)
+        token = builder_token(scenario.model)
         cached = self._sessions.get(key)
         if cached is not None and cached[1] is not token:
             del self._sessions[key]
@@ -146,6 +158,16 @@ class ScenarioRunner:
             Optional[ClusterSpec], OptimizationPipeline]:
         """Resolve and validate everything one scenario execution needs."""
         session, model, config = self._session_entry(scenario)
+        cluster, pipeline = self.resolve_stack(scenario)
+        return session, model, config, cluster, pipeline
+
+    def resolve_stack(self, scenario: Scenario) -> Tuple[
+            Optional[ClusterSpec], OptimizationPipeline]:
+        """A scenario's cluster and validated pipeline (no profiling).
+
+        Raises :class:`ConfigError` for a bad cluster declaration and for
+        a stack that needs a cluster the scenario does not declare.
+        """
         cluster = scenario.build_cluster()
         pipeline = scenario.build_pipeline(self.registry)
         if pipeline.requires_cluster and cluster is None:
@@ -153,7 +175,7 @@ class ScenarioRunner:
                 f"stack {scenario.stack_label()!r} needs a cluster; "
                 "declare scenario.cluster"
             )
-        return session, model, config, cluster, pipeline
+        return cluster, pipeline
 
     def run_cells(self, scenario: Scenario, cells: Sequence,
                   scheduler=None) -> List[Prediction]:
@@ -188,7 +210,8 @@ class ScenarioRunner:
         predicted_us = (prediction.predicted_us if prediction is not None
                         else session.baseline_us)
         return ScenarioOutcome(scenario=scenario, session=session,
-                               model=model, config=config, cluster=cluster,
+                               model_spec=model, config=config,
+                               cluster=cluster,
                                baseline_us=session.baseline_us,
                                predicted_us=predicted_us,
                                prediction=prediction)
@@ -198,22 +221,16 @@ class ScenarioRunner:
                          cached: bool = False) -> ScenarioOutcome:
         """An outcome carrying externally computed timings.
 
-        Validates the scenario exactly like :meth:`run` (pipeline rules,
-        cluster requirements) and builds the cheap model/config/cluster
-        specs, but profiles nothing — this is how store hits and
-        process-pool cells come back.
+        Validates the scenario's config, pipeline rules and cluster
+        requirements like :meth:`run`, but profiles nothing and builds no
+        model spec until :attr:`ScenarioOutcome.model` is read — this is
+        how store hits and process-pool cells come back.
         """
         config = scenario.build_config()
-        cluster = scenario.build_cluster()
-        pipeline = scenario.build_pipeline(self.registry)
-        if pipeline.requires_cluster and cluster is None:
-            raise ConfigError(
-                f"stack {scenario.stack_label()!r} needs a cluster; "
-                "declare scenario.cluster"
-            )
+        cluster, _pipeline = self.resolve_stack(scenario)
         return ScenarioOutcome(scenario=scenario, session=None,
-                               model=scenario.build_model(), config=config,
-                               cluster=cluster, baseline_us=baseline_us,
+                               config=config, cluster=cluster,
+                               baseline_us=baseline_us,
                                predicted_us=predicted_us, cached=cached)
 
     def run_grid(self, scenarios: Sequence[Scenario],
@@ -316,7 +333,7 @@ class ScenarioRunner:
             predicted_us = (prediction.predicted_us if prediction is not None
                             else session.baseline_us)
             outcomes.append(ScenarioOutcome(
-                scenario=scenario, session=session, model=model,
+                scenario=scenario, session=session, model_spec=model,
                 config=config, cluster=cluster,
                 baseline_us=session.baseline_us, predicted_us=predicted_us,
                 prediction=prediction))

@@ -121,6 +121,16 @@ def _build_device(decl: Optional[DeviceDecl], lookup, what: str):
     raise ConfigError(f"invalid {what} declaration: {decl!r}")
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass but not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number: int or float, never ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClusterShape:
     """Declarative form of a :class:`~repro.hw.topology.ClusterSpec`.
@@ -135,6 +145,19 @@ class ClusterShape:
     latency_us: float = 25.0
     per_primitive_overhead_us: float = 60.0
     gpu: Optional[DeviceDecl] = None
+
+    def __post_init__(self) -> None:
+        for name in ("machines", "gpus_per_machine"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"cluster {name!r} must be an integer, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("bandwidth_gbps", "latency_us",
+                     "per_primitive_overhead_us"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"cluster {name!r} must be a number, "
+                                  f"got {getattr(self, name)!r}")
+        if self.gpu is not None and not isinstance(self.gpu, (str, dict)):
+            raise ConfigError(f"invalid GPU declaration: {self.gpu!r}")
 
     def to_dict(self) -> Dict[str, object]:
         """Dict form; omits unset (``None``) fields."""
@@ -197,6 +220,23 @@ class Scenario:
     schedule_policy: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, str):
+            raise ConfigError(
+                f"scenario 'model' must be a string, got {self.model!r}")
+        if self.batch_size is not None and not (
+                _is_int(self.batch_size) and self.batch_size >= 1):
+            raise ConfigError(
+                "scenario 'batch_size' must be a positive integer or null, "
+                f"got {self.batch_size!r}")
+        for name in ("bucket_cap_mb", "data_loading_us"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value):
+                raise ConfigError(f"scenario {name!r} must be a number or "
+                                  f"null, got {value!r}")
+        if self.cluster is not None and \
+                not isinstance(self.cluster, ClusterShape):
+            raise ConfigError("scenario 'cluster' must be an object, got "
+                              f"{self.cluster!r}")
         if isinstance(self.optimizations, str) \
                 or not isinstance(self.optimizations, (list, tuple)):
             raise ConfigError(

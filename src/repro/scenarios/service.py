@@ -43,6 +43,7 @@ sustained QPS under concurrent clients in ``BENCH_service.json``.
 """
 
 import collections
+import functools
 import json
 import math
 import threading
@@ -53,7 +54,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError, DaydreamError
 from repro.core.compiled import CellDelta
-from repro.models.registry import runtime_registered_models
+from repro.models.registry import build_model
 from repro.scenarios.backends import (
     BackendError,
     bearer_authorized,
@@ -65,6 +66,7 @@ from repro.scenarios.runner import (
     SCENARIO_RESULT_HEADERS,
     ScenarioOutcome,
     ScenarioRunner,
+    builder_token,
 )
 from repro.scenarios.scenario import Scenario, ScenarioGrid
 from repro.scenarios.store import SweepStore, scenario_key, store_salt
@@ -81,6 +83,10 @@ DEFAULT_WORKERS = 4
 
 #: the rolling window of per-request latencies behind ``GET /stats``
 LATENCY_WINDOW = 2048
+
+#: how many valid workloads the service remembers; past this the least
+#: recently asked one is proved again by building its model spec
+VALIDATED_WORKLOADS = 256
 
 
 class ServiceError(DaydreamError):
@@ -126,16 +132,16 @@ def _percentile(samples: List[float], q: float) -> Optional[float]:
     return ordered[rank]
 
 
-def _workload_token(model: str):
-    """Identity of the runtime builder registered for one model name.
+def _prove_workload(model: str, batch_size: Optional[int],
+                    token: object) -> None:
+    """Prove one workload valid by building its model spec once.
 
-    ``None`` for shipped zoo models (immutable within a process); the
-    builder callable itself for runtime registrations — re-registering a
-    model with ``overwrite=True`` changes the identity, which is how the
-    pool detects that a cached session answers for a workload that no
-    longer means the same thing.
+    ``token`` (see :func:`~repro.scenarios.runner.builder_token`) only
+    keys the validation memo: a builder re-registered under the same
+    name is a new key and is proved again.  The spec itself is dropped,
+    so the memo holds no model state a caller could share or mutate.
     """
-    return runtime_registered_models().get(model.lower())
+    build_model(model, batch_size=batch_size)
 
 
 @dataclass
@@ -203,7 +209,7 @@ class SessionPool:
         """
         config = scenario.build_config()
         workload = (scenario.model, scenario.batch_size, config)
-        token = _workload_token(scenario.model)
+        token = builder_token(scenario.model)
         with self._lock:
             salt = store_salt(self.registry)
             if salt != self._salt:
@@ -317,6 +323,10 @@ class PredictService:
         self._gate = threading.BoundedSemaphore(workers)
         #: sessionless runner building rows for store-served answers
         self._detached = ScenarioRunner(self.registry, cache_sessions=False)
+        #: workloads already proved valid; exceptions are never cached,
+        #: so an invalid workload is rejected afresh on every request
+        self._proved = functools.lru_cache(maxsize=VALIDATED_WORKLOADS)(
+            _prove_workload)
         self._lock = threading.Lock()
         self._requests: "collections.Counter[str]" = collections.Counter()
         self._errors: "collections.Counter[int]" = collections.Counter()
@@ -358,18 +368,19 @@ class PredictService:
         """Reject everything a 400 should catch before any warm state.
 
         Unknown models, unknown optimizations, malformed stacks, bad
-        device declarations and cluster-requiring stacks without a
-        cluster all fail here — cheap spec construction only, no
-        profiling, no pool slot consumed.
+        device or cluster declarations and cluster-requiring stacks
+        without a cluster all fail here — no profiling, no pool slot
+        consumed.  The model is proved once per workload: the first
+        request for a ``(model name, batch size, runtime builder)``
+        builds its spec, later ones hit a memo bounded by
+        :data:`VALIDATED_WORKLOADS`.  Config, stack and cluster are
+        checked on every request.
         """
         try:
-            scenario.build_model()
+            self._proved(scenario.model, scenario.batch_size,
+                         builder_token(scenario.model))
             scenario.build_config()
-            pipeline = scenario.build_pipeline(self.registry)
-            if pipeline.requires_cluster and scenario.build_cluster() is None:
-                raise ConfigError(
-                    f"stack {scenario.stack_label()!r} needs a cluster; "
-                    "declare scenario.cluster")
+            self._detached.resolve_stack(scenario)
         except (ConfigError, PipelineError) as exc:
             raise ServiceError(str(exc)) from None
 
@@ -629,7 +640,7 @@ class PredictService:
                 "sessions_live": len(self.pool)}
 
     def stats(self) -> Dict[str, object]:
-        """``GET /stats``: session, memo-hit and latency counters."""
+        """``GET /stats``: session, validation, memo and latency counters."""
         with self._lock:
             requests = dict(self._requests)
             errors = {str(status): count
@@ -637,6 +648,7 @@ class PredictService:
             samples = list(self._latencies)
         p50 = _percentile(samples, 0.50)
         p99 = _percentile(samples, 0.99)
+        proved = self._proved.cache_info()
         return {
             "uptime_s": max(0.0, time.time() - self.started_at),
             "salt": self.pool.salt,
@@ -644,6 +656,8 @@ class PredictService:
             "requests": requests,
             "errors": errors,
             "sessions": self.pool.stats(),
+            "validated_workloads": {"live": proved.currsize,
+                                    "capacity": proved.maxsize},
             "memo": (self.store.stats.as_dict()
                      if self.store is not None else None),
             "latency": {

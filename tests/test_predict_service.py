@@ -10,7 +10,9 @@ failing session, malformed/oversized/unauthorized requests each map to
 their contract status code without hurting any other request, and one
 daemon serves concurrent threaded clients correctly.  The session-cache
 staleness regressions (a re-registered model builder, a rotated registry
-fingerprint) fail on the old trusting code.
+fingerprint) fail on the old trusting code.  A warm hit builds no model
+spec: each workload is validated once, and store-served outcomes build
+their spec only when it is read.
 """
 
 import json
@@ -22,7 +24,7 @@ import pytest
 
 from helpers import make_tiny_model
 from repro.common.errors import ConfigError
-from repro.models.registry import register_model
+from repro.models.registry import build_model, register_model
 from repro.optimizations.base import OptimizationModel
 from repro.scenarios import (
     MAX_REQUEST_BYTES,
@@ -36,6 +38,7 @@ from repro.scenarios import (
     SweepStore,
     scenario_key,
 )
+from repro.scenarios import service as service_module
 
 MODEL = "tinysvc"
 
@@ -291,6 +294,35 @@ def test_unknown_endpoint_is_a_404():
         assert get(server.url, "/predict")[0] == 404
 
 
+WRONG_TYPED = [
+    ({"model": 5}, "model"),
+    ({"model": MODEL, "batch_size": "abc"}, "batch_size"),
+    ({"model": MODEL, "batch_size": 2.5}, "batch_size"),
+    ({"model": MODEL, "batch_size": True}, "batch_size"),
+    ({"model": MODEL, "cluster": {"machines": "two"},
+      "optimizations": ["distributed_training"]}, "machines"),
+]
+
+
+def test_wrong_typed_fields_are_400s_that_consume_no_session():
+    """Fails on old code: these crashed the handler or profiled a session.
+
+    A non-string model and a string batch size raised deep in the model
+    builder (the daemon dropped the connection, no error counted); a
+    float or boolean batch size was accepted and profiled a workload.
+    """
+    service = PredictService()
+    with PredictServer(service) as server:
+        for payload, field_name in WRONG_TYPED:
+            status, body = post(server.url, "/predict", payload)
+            assert status == 400, payload
+            assert field_name in body["error"], (payload, body)
+        status, answer = post(server.url, "/predict", {"model": MODEL})
+    assert status == 200 and answer["row"][0] == MODEL
+    assert service.stats()["errors"] == {"400": len(WRONG_TYPED)}
+    assert service.pool.stats()["built"] == 1
+
+
 def test_a_rejected_request_hurts_no_other_request():
     """Per-request degradation: a 400 leaves the daemon fully serving."""
     service = PredictService()
@@ -482,3 +514,99 @@ def test_keys_on_the_wire_are_sweep_store_keys(tmp_path):
     scenario = Scenario.from_dict(SCENARIO)
     assert answer["key"] == store.key(scenario)
     assert answer["key"] == scenario_key(scenario, service.registry)
+
+
+# ------------------------------------------- warm hits build no model spec
+
+def _counting_builder(calls, batch_default=4):
+    """A runtime model builder that records every call."""
+    def build(batch_size=None):
+        calls.append(batch_size)
+        return make_tiny_model(batch=batch_size or batch_default)
+    return build
+
+
+def test_memo_hits_and_warm_misses_never_call_the_model_builder(tmp_path):
+    """Fails on old code: every memo hit built the model spec twice."""
+    calls = []
+    register_model("tinycount", _counting_builder(calls), overwrite=True)
+    service = PredictService(store=SweepStore(str(tmp_path / "store")))
+    hot = {"model": "tinycount", "optimizations": ["amp"]}
+    assert service.predict(hot)["cached"] is False
+    first = len(calls)
+    assert first >= 1
+    for _ in range(5):
+        assert service.predict(hot)["cached"] is True
+    for stack in ([], ["fused_adam"], ["reconstruct_batchnorm"]):
+        answer = service.predict({"model": "tinycount",
+                                  "optimizations": stack})
+        assert answer["cached"] is False
+    assert len(calls) == first
+    assert service.pool.stats()["built"] == 1
+
+
+def test_reregistered_builder_is_validated_again():
+    """A builder swapped under a validated name is proved afresh.
+
+    Fails on old code (its hit rebuilt the spec); and a memo keyed by
+    the name alone would wave the rejecting builder through to the pool.
+    """
+    calls = []
+    register_model("tinyflip", _counting_builder(calls), overwrite=True)
+    service = PredictService()
+    payload = {"model": "tinyflip", "batch_size": 2}
+    service.predict(payload)
+    first = len(calls)
+    service.predict(payload)
+    assert len(calls) == first
+
+    def reject(batch_size=None):
+        if batch_size is not None and batch_size > 1:
+            raise ConfigError("tinyflip now trains at batch 1 only")
+        return make_tiny_model(batch=1)
+
+    register_model("tinyflip", reject, overwrite=True)
+    built = service.pool.stats()["built"]
+    with pytest.raises(ServiceError) as excinfo:
+        service.predict(payload)
+    assert excinfo.value.status == 400
+    assert "batch 1 only" in str(excinfo.value)
+    assert service.pool.stats()["built"] == built
+
+
+def test_validation_memo_is_bounded(monkeypatch):
+    """Distinct valid workloads past the cap evict the least recent."""
+    monkeypatch.setattr(service_module, "VALIDATED_WORKLOADS", 3)
+    calls = []
+    register_model("tinycap", _counting_builder(calls), overwrite=True)
+    service = PredictService(max_sessions=8)
+    for batch in range(1, 6):
+        service.predict({"model": "tinycap", "batch_size": batch})
+    assert service.stats()["validated_workloads"] == {"live": 3,
+                                                      "capacity": 3}
+    # each new workload: one build to validate, one to profile
+    assert len(calls) == 10
+    service.predict({"model": "tinycap", "batch_size": 5})
+    assert len(calls) == 10     # memoized, and its session is warm
+    service.predict({"model": "tinycap", "batch_size": 1})
+    assert len(calls) == 11     # evicted from the memo: proved again
+    assert service.stats()["validated_workloads"]["live"] == 3
+
+
+def test_store_served_outcome_builds_its_spec_only_when_read(tmp_path):
+    """Fails on old code: detached outcomes built the spec up front."""
+    calls = []
+    register_model("tinylazy", _counting_builder(calls), overwrite=True)
+    store = SweepStore(str(tmp_path / "store"))
+    grid = [Scenario(model="tinylazy", optimizations=["amp"]),
+            Scenario(model="tinylazy", batch_size=2)]
+    ScenarioRunner().run_grid(grid, parallel=1, store=store)
+    before = len(calls)
+    outcomes = ScenarioRunner().run_grid(grid, parallel=1, store=store)
+    assert all(outcome.cached for outcome in outcomes)
+    assert len(calls) == before
+    for scenario, outcome in zip(grid, outcomes):
+        spec = outcome.model
+        assert spec == build_model("tinylazy",
+                                   batch_size=scenario.batch_size)
+        assert outcome.model is spec        # built once, then kept

@@ -245,6 +245,23 @@ class TestScenarioSerialization:
         with pytest.raises(ConfigError, match="unknown cluster field"):
             ClusterShape.from_dict({"machines": 2, "nics": 4})
 
+    @pytest.mark.parametrize("data, field_name", [
+        ({"model": ["gnmt"]}, "model"),
+        ({"model": "gnmt", "batch_size": 0}, "batch_size"),
+        ({"model": "gnmt", "batch_size": "8"}, "batch_size"),
+        ({"model": "gnmt", "bucket_cap_mb": "25"}, "bucket_cap_mb"),
+        ({"model": "gnmt", "data_loading_us": False}, "data_loading_us"),
+        ({"model": "gnmt", "cluster": 5}, "cluster"),
+        ({"model": "gnmt", "cluster": {"machines": 2.0}}, "machines"),
+        ({"model": "gnmt", "cluster": {"machines": 2,
+                                       "bandwidth_gbps": "fast"}},
+         "bandwidth_gbps"),
+        ({"model": "gnmt", "cluster": {"machines": 2, "gpu": 5}}, "GPU"),
+    ])
+    def test_wrong_typed_fields_rejected(self, data, field_name):
+        with pytest.raises(ConfigError, match=field_name):
+            Scenario.from_dict(data)
+
     def test_unknown_schedule_policy(self):
         with pytest.raises(ConfigError, match="schedule policy"):
             Scenario(model="gnmt", schedule_policy="random")
