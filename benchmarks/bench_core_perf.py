@@ -156,27 +156,33 @@ def test_perf_simulation(bert_graph):
 
 
 def test_perf_simulate_compiled(bert_graph):
-    """The array engine on a warm lowering, vs the object engine.
+    """The engine loop on a warm lowering, checked against the oracle.
 
-    ``simulate()`` itself reaches this path after a graph goes hot (the
-    tiered selection in :mod:`repro.core.simulate`); this row times the
-    engine loop alone, with the lowering done outside the timed region.
-    Quick gate: the compiled engine must never lose to the object engine
-    it replaces — and must agree with it bit-for-bit.
+    ``simulate()`` reaches this path on every call once the graph is
+    lowered; this row times the engine loop alone, with the lowering done
+    outside the timed region.  Quick gate: the result must equal the
+    independent frontier-scan reference (``tests/simulate_oracle.py``)
+    bit for bit — starts, makespan and busy intervals.
     """
     from repro.core.compiled import compiled_for
-    from repro.core.simulate import _DEFAULT_POLICY, _simulate_event_driven
+    from simulate_oracle import naive_simulate
 
     compiled = compiled_for(bert_graph)
     result = _record("simulate_compiled", compiled.run, rounds=15)
-    reference = _record(
-        "simulate_object",
-        lambda: _simulate_event_driven(bert_graph, _DEFAULT_POLICY),
-        rounds=9,
-    )
-    assert result.makespan_us == reference.makespan_us
-    assert result.start_us == reference.start_us
-    assert _RECORDS["simulate_compiled"] <= _RECORDS["simulate_object"]
+    ref_start, ref_makespan, ref_busy = naive_simulate(bert_graph)
+    assert result.makespan_us == ref_makespan
+    assert result.start_us == ref_start
+    assert result.thread_busy == ref_busy
+
+
+def test_perf_simulate_cold(bert_graph):
+    """Lower + run: what the first simulate of a fresh or structurally
+    changed graph pays."""
+    from repro.core.compiled import CompiledGraph
+
+    result = _record("simulate_cold",
+                     lambda: CompiledGraph.build(bert_graph).run(), rounds=9)
+    assert result.makespan_us == simulate(bert_graph).makespan_us
 
 
 def test_perf_graph_copy(bert_graph):
@@ -277,35 +283,39 @@ def test_perf_simulate_many(bert_session):
             <= _RECORDS["simulate_percell_24cell"])
 
 
-def test_perf_predict_registry_mix(bert_trace, bert_session):
+def test_perf_predict_registry_mix(bert_session):
     """All 13 registry optimizations through ``predict``: the journal vs
     the deep copy.
 
-    The copy-on-write session answers each question on an overlay it
-    closes again; the ``copy_on_write=False`` reference transforms a deep
-    copy.  Quick gate: bit-identical predictions, and copy-on-write at
-    least 1.5x faster over the whole mix.
+    ``predict`` answers each question on an overlay it closes again;
+    ``predict_simulation``, the reference, transforms a deep copy.  Quick
+    gate: bit-identical predictions, and the overlay path at least 1.5x
+    faster over the whole mix.
     """
     from helpers import registry_questions
 
     questions = registry_questions("bert_large")
-    deep = WhatIfSession(bert_trace, bert_session.config, copy_on_write=False)
-    deep.baseline_result  # materialize outside the timed region
 
-    sides = {"predict_registry_mix": bert_session,
-             "predict_registry_mix_deepcopy": deep}
+    def journal(pipeline, cluster):
+        return bert_session.predict(pipeline, cluster=cluster).predicted_us
+
+    def deep_copy(pipeline, cluster):
+        _, result = bert_session.predict_simulation(pipeline, cluster=cluster)
+        return result.makespan_us
+
+    sides = {"predict_registry_mix": journal,
+             "predict_registry_mix_deepcopy": deep_copy}
     times = {name: [] for name in sides}
     answers = {}
     # alternate the sides so host noise hits both alike, and start every
     # round on a clean heap: a deep copy is cyclic garbage (launch/kernel
     # metadata links), which would otherwise be collected in the next round
     for _ in range(5):
-        for name, session in sides.items():
+        for name, answer in sides.items():
             gc.collect()
             t0 = time.perf_counter()
-            answers[name] = [
-                session.predict(pipeline, cluster=cluster).predicted_us
-                for _, pipeline, cluster in questions]
+            answers[name] = [answer(pipeline, cluster)
+                             for _, pipeline, cluster in questions]
             times[name].append(time.perf_counter() - t0)
     _RECORDS.update({name: min(seconds) for name, seconds in times.items()})
     assert (answers["predict_registry_mix"]

@@ -68,11 +68,9 @@ class WhatIfSession:
     machine you no longer have access to).
     """
 
-    def __init__(self, trace: Trace, config: Optional[TrainingConfig] = None,
-                 copy_on_write: bool = True):
+    def __init__(self, trace: Trace, config: Optional[TrainingConfig] = None):
         self.trace = trace
         self.config = config or TrainingConfig()
-        self.copy_on_write = copy_on_write
         self._graph: Optional[DependencyGraph] = None
         self._baseline: Optional[SimulationResult] = None
 
@@ -144,15 +142,14 @@ class WhatIfSession:
         return self.baseline_result.makespan_us
 
     def compiled_baseline(self) -> CompiledGraph:
-        """The baseline graph lowered to struct-of-arrays form.
+        """The baseline graph lowered to column form.
 
-        Built once per graph generation and cached *on the graph* (see
+        Built once and cached *on the graph* (see
         :func:`repro.core.compiled.compiled_for`), so every consumer —
-        :meth:`simulate_many`, :meth:`sweep` cell batches, forked sweep
-        workers that inherit this session — shares one lowering.  Any
-        structural mutation or in-place task write bumps the graph
-        generation (through the tasks' write stamps and overlay seals)
-        and the next access relowers.
+        the baseline simulate, :meth:`simulate_many`, :meth:`sweep` cell
+        batches, forked sweep workers that inherit this session — shares
+        one lowering.  A structural mutation or a changed task
+        duration/gap makes the next access relower.
         """
         return compiled_for(self.graph)
 
@@ -176,9 +173,8 @@ class WhatIfSession:
     ) -> Prediction:
         """Predict the effect of one optimization on iteration time.
 
-        The baseline graph is viewed through a copy-on-write overlay (or
-        deep-copied for ``copy_on_write=False`` sessions), transformed by
-        the optimization model, and re-simulated (with the model's custom
+        The baseline graph is viewed through a copy-on-write overlay,
+        transformed by the optimization model, and re-simulated (with the model's custom
         scheduler when supplied).  The overlay is closed — every base task
         it wrote restored in place — before this returns, also when the
         transform raises.
@@ -202,9 +198,6 @@ class WhatIfSession:
         # a frame of its own: the working graph, outcome and result die
         # when it returns, before predict() resumes the collector
         context = self.context(cluster)
-        if not self.copy_on_write:
-            outcome = optimization.apply(self.graph.copy(), context)
-            return simulate(outcome.graph, outcome.scheduler).makespan_us
         with self.graph.overlay() as working:
             outcome = optimization.apply(working, context)
             return simulate(outcome.graph, outcome.scheduler).makespan_us
@@ -241,8 +234,8 @@ class WhatIfSession:
         bit-identical to transforming and simulating each cell's graph
         from scratch.
 
-        ``scheduler`` must be heap-friendly (a
-        :class:`~repro.core.simulate.SchedulePolicy` or ``None``).
+        ``scheduler`` is a :class:`~repro.core.simulate.SchedulePolicy`
+        or ``None``.
         """
         return _compiled_simulate_many(self.compiled_baseline(), list(cells),
                                        scheduler)

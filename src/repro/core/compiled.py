@@ -1,82 +1,54 @@
-"""Compiled simulation core: struct-of-arrays lowering + array engine.
+"""The simulation engine: Algorithm 1 over flat columns.
 
-The object-graph engine in :mod:`repro.core.simulate` spends most of its
-time chasing Python attribute lookups and dict probes per dispatched task.
-This module lowers a :class:`~repro.core.graph.DependencyGraph` once into
-flat, densely indexed arrays and runs Algorithm 1 over integers:
+:func:`repro.core.simulate.simulate` runs here.  A
+:class:`~repro.core.graph.DependencyGraph` is lowered once into densely
+indexed plain lists and Algorithm 1 runs over integers:
 
 * **stable ordinals** — every task gets a dense ordinal assigned
   thread-major (threads in sorted order, tasks in linked-list order
   within each thread).  Ordinals are a pure function of the graph *data*,
-  never of allocation addresses, and both simulation engines break
-  feasible-start ties on them — which is what makes simulation results
+  never of allocation addresses, and the engine breaks feasible-start
+  ties on them — which is what makes simulation results
   allocation-independent (the historical fig10 "last-ulp tie" drift came
   from ``id()``-ordered successor-set iteration);
-* **struct-of-arrays** — per-ordinal ``duration`` / ``gap`` /
-  ``thread_idx`` float/int arrays plus CSR successor/predecessor index
-  arrays.  Arrays are numpy when available and stdlib ``array.array``
-  otherwise (the dependency stays soft; semantics are identical because
-  the hot loop runs over plain-list views either way — CPython indexes
-  lists faster than it unboxes numpy scalars);
-* **the array engine** — a lazy-deletion min-heap over
+* **columns** — per-ordinal ``duration`` / ``gap`` / ``thread_idx`` /
+  ``tnext`` / ``indegree`` lists plus one ordinal-sorted successor row
+  per task.  They are plain lists because CPython indexes lists faster
+  than it unboxes array or numpy elements;
+* **the engine** — a lazy-deletion min-heap over
   ``(feasible_start, policy_key, ordinal)`` integer entries.  No Task
   object is touched between heapify and the final result assembly;
 * **batched multi-simulate** — :func:`simulate_many` amortizes the
   lowering across every cell of a what-if grid that shares a baseline:
   each :class:`CellDelta` patches sparse per-task duration/gap overrides
-  onto copies of the baseline arrays and re-runs only the engine loop.
+  onto copies of the baseline columns and re-runs only the engine loop.
 
-Invalidation contract (see ``docs/perf.md``): a compiled graph is cached
-on its ``DependencyGraph`` keyed by the graph's mutation generation.
-Structural mutations (append/insert/remove/edges/``mark_unordered``) bump
-the generation directly; in-place ``Task`` field writes bump it through the
-write stamp the lowering pass leaves on each task (``Task.__setattr__``
-consults it right after the copy-on-write barrier), or through the seal a
-closed overlay left when its own lowering overwrote the stamp.  A stale
-cache is therefore impossible — at worst a conservative bump forces one
-redundant relowering.
+Invalidation contract (see ``docs/perf.md``): lowering reads the graph
+and writes nothing to its tasks.  The lowering is cached on its
+``DependencyGraph`` and reused while two things hold: the graph's mutation
+generation is the one it captured (structural mutations —
+append/insert/remove/edges/``mark_unordered`` — bump it), and its
+``duration``/``gap`` columns still equal the tasks' values (an O(N)
+compare, which sees every in-place field write however it was made).
+Those are the only task fields the columns hold, so a stale cache cannot
+answer.
 """
 
 import heapq
-import os
-import weakref
-from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
+from repro.core.simulate import SchedulePolicy, SimulationResult
 from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
 
-if os.environ.get("REPRO_FORCE_NO_NUMPY"):  # the no-numpy CI matrix leg
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - exercised via the env gate
-        _np = None
-
-#: whether the soft numpy dependency resolved (the array engine runs —
-#: bit-identically — either way; numpy only accelerates bulk array ops)
-HAVE_NUMPY = _np is not None
-
-
-def _float_array(values: Sequence[float]):
-    """A float64 struct-of-arrays column (numpy, or ``array('d')``)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
-
-
-def _int_array(values: Sequence[int]):
-    """A signed index column (numpy int64, or ``array('q')``)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64)
-    return array("q", values)
-
-
 #: shared empty successor row (never mutated by the engine)
 _EMPTY_ROW: List[int] = []
+
+_duration_of = attrgetter("duration")
+_gap_of = attrgetter("gap")
 
 
 def stable_ordinals(graph) -> Dict[Task, int]:
@@ -86,7 +58,7 @@ def stable_ordinals(graph) -> Dict[Task, int]:
     in linked-list order, so two graphs with identical *data* assign
     identical ordinals no matter how their Task objects were allocated.
     Within every ordered thread the numbering is topological; across
-    threads it is the deterministic total order both engines use to break
+    threads it is the deterministic total order the engine uses to break
     scheduling ties.
     """
     ordinal: Dict[Task, int] = {}
@@ -96,87 +68,48 @@ def stable_ordinals(graph) -> Dict[Task, int]:
     return ordinal
 
 
-class _WriteStamp:
-    """Invalidation hook the lowering pass leaves on every task.
-
-    ``Task.__setattr__`` pops and fires the stamp on the first in-place
-    field write after a lowering, bumping the owning graph's mutation
-    generation so the cached :class:`CompiledGraph` is rebuilt.  One
-    shared stamp per graph keeps the lowering pass to a single dict write
-    per task.
-    """
-
-    __slots__ = ("_graph_ref",)
-
-    def __init__(self, graph) -> None:
-        self._graph_ref = weakref.ref(graph)
-
-    def bump(self) -> None:
-        graph = self._graph_ref()
-        if graph is not None:
-            graph._generation += 1
-
-
 @dataclass
 class CompiledGraph:
-    """A dependency graph lowered to flat arrays, ready for the array engine.
+    """A dependency graph lowered to flat lists, ready for the engine.
 
     Attributes (all task columns are indexed by stable ordinal):
         tasks: ordinal → Task (for result assembly only).
         ordinal: Task → ordinal.
-        duration / gap: float64 columns.
+        duration / gap: the tasks' values at lowering time.
         thread_idx / tnext: dense thread index of each task, and the
             ordinal of its thread successor (−1 when the thread is
             unordered or the task is last on its thread).
         indegree: explicit predecessors + 1 for a gated thread
             predecessor — the simulator's initial reference counts.
-        succ_indptr / succ_indices: CSR explicit-successor lists, each
-            row sorted by ordinal.
-        pred_indptr / pred_indices: CSR explicit-predecessor lists.
+        succ: explicit-successor ordinals of each task, each row sorted.
         threads / ordered: dense thread table and per-thread order flags.
         generation: the graph mutation generation this lowering captured.
     """
 
     tasks: List[Task]
     ordinal: Dict[Task, int]
-    duration: object
-    gap: object
-    thread_idx: object
-    tnext: object
-    indegree: object
-    succ_indptr: object
-    succ_indices: object
+    duration: List[float]
+    gap: List[float]
+    thread_idx: List[int]
+    tnext: List[int]
+    indegree: List[int]
+    succ: List[List[int]]
     threads: List[ExecutionThread]
     ordered: List[bool]
     generation: int = 0
-    # predecessor CSR is derived from the successor CSR on first access
-    # (an O(E) counting pass), so the common compile-and-run path never
-    # pays for it
-    _pred_csr: Optional[Tuple[object, object]] = field(
-        default=None, repr=False)
-    # plain-list views for the hot loop (CPython list indexing beats both
-    # numpy scalar unboxing and array.array getitem)
-    _duration_l: List[float] = field(default_factory=list, repr=False)
-    _gap_l: List[float] = field(default_factory=list, repr=False)
-    _thread_idx_l: List[int] = field(default_factory=list, repr=False)
-    _tnext_l: List[int] = field(default_factory=list, repr=False)
-    _indegree_l: List[int] = field(default_factory=list, repr=False)
-    _succ_rows: List[List[int]] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.tasks)
 
     @classmethod
     def build(cls, graph) -> "CompiledGraph":
-        """Lower ``graph`` to struct-of-arrays form.  O(N + E)."""
+        """Lower ``graph`` to column form.  O(N + E)."""
         threads = graph.threads()
         ordered = [graph.is_ordered(t) for t in threads]
 
-        # one linked-list walk per thread assigns ordinals, reads every
-        # per-task field, and leaves the write stamp; within a thread
-        # ordinals are consecutive, so an ordered thread's successor link
-        # is simply ``i + 1``
-        stamp = _WriteStamp(graph)
+        # one linked-list walk per thread assigns ordinals and reads every
+        # per-task field; within a thread ordinals are consecutive, so an
+        # ordered thread's successor link is simply ``i + 1``
         tasks: List[Task] = []
         ordinal: Dict[Task, int] = {}
         duration: List[float] = []
@@ -197,7 +130,6 @@ class CompiledGraph:
                 ordinal[task] = i
                 append(task)
                 d = task.__dict__
-                d["_sim_stamp"] = stamp
                 duration.append(d["duration"])
                 gap.append(d["gap"])
                 thread_idx.append(ti)
@@ -209,14 +141,11 @@ class CompiledGraph:
                 i += 1
                 task = nxt_link[task]
                 tnext.append(i if is_ordered and task is not None else -1)
-        n = len(tasks)
 
         succ = graph._succ
-        succ_rows: List[List[int]] = []
-        succ_indptr = [0] * (n + 1)
-        succ_indices: List[int] = []
-        rows_append = succ_rows.append
-        for i, task in enumerate(tasks):
+        rows: List[List[int]] = []
+        rows_append = rows.append
+        for task in tasks:
             # adjacency rows are overwhelmingly empty or single-element;
             # specializing those sizes skips most of the sort calls
             succs = succ[task]
@@ -225,69 +154,21 @@ class CompiledGraph:
                 rows_append(_EMPTY_ROW)
             elif m == 1:
                 (s,) = succs
-                row = [ordinal[s]]
-                rows_append(row)
-                succ_indices.append(row[0])
+                rows_append([ordinal[s]])
             else:
-                row = sorted(ordinal[s] for s in succs)
-                rows_append(row)
-                succ_indices.extend(row)
-            succ_indptr[i + 1] = len(succ_indices)
+                rows_append(sorted(ordinal[s] for s in succs))
 
-        compiled = cls(
-            tasks=tasks,
-            ordinal=ordinal,
-            duration=_float_array(duration),
-            gap=_float_array(gap),
-            thread_idx=_int_array(thread_idx),
-            tnext=_int_array(tnext),
-            indegree=_int_array(indegree),
-            succ_indptr=_int_array(succ_indptr),
-            succ_indices=_int_array(succ_indices),
-            threads=threads,
-            ordered=ordered,
-            generation=getattr(graph, "_generation", 0),
-        )
-        compiled._duration_l = duration
-        compiled._gap_l = gap
-        compiled._thread_idx_l = thread_idx
-        compiled._tnext_l = tnext
-        compiled._indegree_l = indegree
-        compiled._succ_rows = succ_rows
-        return compiled
+        return cls(tasks=tasks, ordinal=ordinal, duration=duration, gap=gap,
+                   thread_idx=thread_idx, tnext=tnext, indegree=indegree,
+                   succ=rows, threads=threads, ordered=ordered,
+                   generation=graph._generation)
 
-    # ------------------------------------------------------- derived columns
-
-    @property
-    def pred_indptr(self):
-        return self._pred_csr_pair()[0]
-
-    @property
-    def pred_indices(self):
-        return self._pred_csr_pair()[1]
-
-    def _pred_csr_pair(self) -> Tuple[object, object]:
-        """Transpose the successor CSR into the predecessor CSR.  O(N + E).
-
-        Rows come out ordinal-sorted automatically because the outer loop
-        visits sources in ordinal order.
-        """
-        if self._pred_csr is None:
-            n = len(self.tasks)
-            counts = [0] * (n + 1)
-            for row in self._succ_rows:
-                for c in row:
-                    counts[c + 1] += 1
-            for i in range(1, n + 1):
-                counts[i] += counts[i - 1]
-            indices = [0] * counts[n]
-            cursor = counts[:]
-            for i, row in enumerate(self._succ_rows):
-                for c in row:
-                    indices[cursor[c]] = i
-                    cursor[c] += 1
-            self._pred_csr = (_int_array(counts), _int_array(indices))
-        return self._pred_csr
+    def matches_task_values(self) -> bool:
+        """Whether the ``duration``/``gap`` columns still equal the tasks'
+        current values.  O(N)."""
+        tasks = self.tasks
+        return (list(map(_duration_of, tasks)) == self.duration
+                and list(map(_gap_of, tasks)) == self.gap)
 
     # ----------------------------------------------------------- simulation
 
@@ -297,32 +178,26 @@ class CompiledGraph:
         ``None`` means every key is 0.0 (the default policy), letting the
         engine skip the column entirely.
         """
-        from repro.core.simulate import SchedulePolicy
-        if type(policy) is SchedulePolicy:
+        if policy is None or type(policy) is SchedulePolicy:
             return None
         key = policy.key
         return [key(task) for task in self.tasks]
 
-    def run(self, policy=None,
+    def run(self, policy: Optional[SchedulePolicy] = None,
             duration: Optional[List[float]] = None,
-            gap: Optional[List[float]] = None):
-        """Run Algorithm 1 over the arrays; returns a SimulationResult.
+            gap: Optional[List[float]] = None) -> SimulationResult:
+        """Run Algorithm 1 over the columns.
 
-        ``duration``/``gap`` override the baseline columns (plain lists,
-        ordinal-indexed) — this is how :func:`simulate_many` re-runs the
-        engine under a cell's sparse delta without re-lowering.
+        ``duration``/``gap`` override the baseline columns (ordinal-indexed
+        lists) — this is how :func:`simulate_many` re-runs the engine
+        under a cell's sparse delta without re-lowering.
         """
-        from repro.core.simulate import SchedulePolicy, SimulationResult
-        if policy is None:
-            policy = SchedulePolicy()
-        pkeys = self.policy_keys(policy)
         starts, makespan, busy_lists = _run_arrays(
             len(self.tasks),
-            duration if duration is not None else self._duration_l,
-            gap if gap is not None else self._gap_l,
-            self._thread_idx_l, self._tnext_l, self._indegree_l,
-            self._succ_rows, len(self.threads), pkeys,
-            all(self.ordered),
+            duration if duration is not None else self.duration,
+            gap if gap is not None else self.gap,
+            self.thread_idx, self.tnext, self.indegree, self.succ,
+            len(self.threads), self.policy_keys(policy), all(self.ordered),
         )
         return SimulationResult(
             start_us=dict(zip(self.tasks, starts)),
@@ -486,20 +361,20 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
 def compiled_for(graph) -> CompiledGraph:
     """The cached :class:`CompiledGraph` of ``graph``, relowered when stale.
 
-    Validity is keyed on the graph's mutation generation: structural
-    mutations bump it directly, and in-place task field writes bump it
-    through the write stamps :meth:`CompiledGraph.build` leaves behind (or
-    through the seal an overlay left, when that overlay's own lowering
-    overwrote the stamp).  Raises :class:`GraphConsistencyError` on a
-    locked graph (the base of an open overlay, or a closed overlay).
+    The cache is valid while the graph's mutation generation matches the
+    one it captured and its ``duration``/``gap`` columns still equal the
+    tasks' values (:meth:`CompiledGraph.matches_task_values`).  An overlay
+    restores the values it wrote on ``close()``, so a base lowering
+    survives every question asked through one.  Raises
+    :class:`GraphConsistencyError` on a locked graph (the base of an open
+    overlay, or a closed overlay).
     """
     graph._check_unlocked()
     compiled = graph._compiled
-    generation = graph._generation
-    if compiled is not None and compiled.generation == generation:
-        return compiled
-    compiled = CompiledGraph.build(graph)
-    graph._compiled = compiled
+    if (compiled is None or compiled.generation != graph._generation
+            or not compiled.matches_task_values()):
+        compiled = CompiledGraph.build(graph)
+        graph._compiled = compiled
     return compiled
 
 
@@ -534,8 +409,7 @@ def simulate_many(compiled: CompiledGraph, cells: Sequence[CellDelta],
                   policy=None) -> List[object]:
     """Simulate every cell of a shared-baseline grid on one lowering.
 
-    The baseline columns are copied per cell (O(N) list copies — numpy
-    bulk copies when available), each cell's sparse overrides are patched
+    The baseline columns are copied per cell (O(N) list copies), each cell's sparse overrides are patched
     in by ordinal (O(|delta|)), and only the engine loop re-runs.  Cells
     referencing tasks outside the baseline raise ``SimulationError``.
 
@@ -548,7 +422,7 @@ def simulate_many(compiled: CompiledGraph, cells: Sequence[CellDelta],
     for cell in cells:
         duration = gap = None
         if cell.durations:
-            duration = compiled._duration_l[:]
+            duration = compiled.duration[:]
             try:
                 for task, value in cell.durations.items():
                     duration[ordinal[task]] = value
@@ -557,7 +431,7 @@ def simulate_many(compiled: CompiledGraph, cells: Sequence[CellDelta],
                     f"cell {cell.label!r} overrides a task outside the "
                     "compiled baseline") from None
         if cell.gaps:
-            gap = compiled._gap_l[:]
+            gap = compiled.gap[:]
             try:
                 for task, value in cell.gaps.items():
                     gap[ordinal[task]] = value

@@ -95,8 +95,9 @@ class DependencyGraph:
         self._journal: Optional[Dict[Task, Tuple[dict, dict]]] = None
         self._lock: Optional[str] = None
         # compiled-lowering cache (see repro.core.compiled): _generation
-        # counts mutations; the cached CompiledGraph is valid only while
-        # its captured generation matches
+        # counts structural mutations; the cached CompiledGraph is valid
+        # only while its captured generation matches and its duration/gap
+        # columns still equal the tasks' values
         self._generation: int = 0
         self._compiled = None
 
@@ -505,7 +506,6 @@ class DependencyGraph:
                 cd = clone.__dict__
                 cd.update(task.__dict__)
                 cd.pop("_cow_base", None)
-                cd.pop("_sim_stamp", None)
                 cd["metadata"] = dict(cd["metadata"])
                 clone_of[task] = clone
                 prv_out[clone] = prev_clone
@@ -607,9 +607,7 @@ class DependencyGraph:
         if base is None or self._lock is not None:
             return
         for task, (state, metadata) in base._journal.items():
-            d = task.__dict__
-            d.pop("_sim_stamp", None)
-            d.update(state)
+            task.__dict__.update(state)
             saved = state["metadata"]
             if saved != metadata:
                 saved.clear()
@@ -630,16 +628,13 @@ class DependencyGraph:
 
         Called by ``Task.__setattr__`` *before* the write lands, so the
         task's state is still pristine.  While an overlay is open the
-        state is journaled for :meth:`close`; after it closed, the seal
-        stands in for a lowering stamp the overlay's own lowering may have
-        overwritten, so the write invalidates this graph's lowering.
+        state is journaled for :meth:`close`; a seal left over from a
+        closed overlay is simply dropped.
         """
         d = task.__dict__
         journal = self._journal
         if journal is not None and task in self._succ:
             journal[task] = (dict(d), dict(d["metadata"]))
-        else:
-            self._generation += 1
         del d["_cow_base"]
 
     def _check_unlocked(self) -> None:

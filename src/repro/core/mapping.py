@@ -75,14 +75,12 @@ def _assign(task: Task, layer: str, phase: Optional[str]) -> int:
 def _write(task: Task, layer: str, phase: Optional[str]) -> None:
     """Set ``layer``/``phase``, through the write barrier only if armed.
 
-    A task sealed by an overlay (``_cow_base``) or captured by a lowering
-    (``_sim_stamp``) must be written through ``Task.__setattr__`` so the
-    overlay journals it for undo and the lowering is invalidated.  Any
-    other task — every task of a freshly built graph — is written
-    directly.
+    A task sealed by an overlay (``_cow_base``) must be written through
+    ``Task.__setattr__`` so the overlay journals it for undo.  Any other
+    task — every task of a freshly built graph — is written directly.
     """
     d = task.__dict__
-    if "_cow_base" in d or "_sim_stamp" in d:
+    if "_cow_base" in d:
         task.layer = layer
         task.phase = phase
     else:

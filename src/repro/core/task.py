@@ -82,19 +82,10 @@ class Task:
         # Copy-on-write write barrier: opening an overlay (graph.overlay())
         # seals every base task with ``_cow_base``; the first attribute
         # write journals the task's pristine state for the overlay's undo
-        # (or, once the overlay has closed, invalidates the base's lowering)
         # before the mutation lands here.
-        d = self.__dict__
-        base = d.get("_cow_base")
+        base = self.__dict__.get("_cow_base")
         if base is not None:
             base._cow_task_written(self)
-        # Compiled-lowering write barrier: a lowering pass (see
-        # repro.core.compiled) stamps every task it captured; the first
-        # in-place write pops the stamp and bumps the owning graph's
-        # mutation generation so the cached CompiledGraph is rebuilt.
-        stamp = d.pop("_sim_stamp", None)
-        if stamp is not None:
-            stamp.bump()
         object.__setattr__(self, name, value)
 
     @classmethod
@@ -104,10 +95,9 @@ class Task:
                metadata: Dict[str, object]) -> "Task":
         """Build a new task without passing each field through the barrier.
 
-        A task still under construction belongs to no graph, so it can be
-        neither shared with an overlay nor stamped by a lowering: the write
-        barrier in ``__setattr__`` has nothing to guard.  The constructor
-        checks still apply.
+        A task still under construction belongs to no graph, so it cannot
+        be shared with an overlay: the write barrier in ``__setattr__`` has
+        nothing to guard.  The constructor checks still apply.
 
         Fields are stored one by one in declaration order, the order the
         dataclass ``__init__`` writes them, so the instance dict keeps
@@ -144,7 +134,6 @@ class Task:
         d = out.__dict__
         d.update(self.__dict__)
         d.pop("_cow_base", None)
-        d.pop("_sim_stamp", None)
         d["metadata"] = dict(self.metadata)
         return out
 

@@ -10,8 +10,8 @@ finished cells remembered.  :func:`run_batch` is that substrate:
   (model, batch size, training config) land in the same chunks, and each
   worker process keeps one :class:`~repro.scenarios.runner.ScenarioRunner`
   alive across chunks, so a workload is profiled at most once per worker
-  (and, once its graph runs hot, its compiled simulation baseline —
-  `repro.core.compiled` — is lowered at most once per worker too);
+  (and its compiled simulation baseline — `repro.core.compiled` — is
+  lowered at most once per worker too);
 * chunks run on a ``ProcessPoolExecutor`` under either start method:
   **fork** (runners, custom registries and runtime-registered models are
   inherited, never pickled) or **spawn** (each worker rebuilds its runner

@@ -43,6 +43,7 @@ sustained QPS under concurrent clients in ``BENCH_service.json``.
 """
 
 import collections
+import contextlib
 import functools
 import json
 import math
@@ -362,6 +363,30 @@ class PredictService:
         with self._lock:
             self._latencies.append(seconds)
 
+    @contextlib.contextmanager
+    def _accounted(self, endpoint: str):
+        """Count, time and error-account one request to ``endpoint``.
+
+        A :class:`ServiceError` is counted under its status; any other
+        exception (a runtime model builder that raises, say) becomes a
+        500 :class:`ServiceError`, so the client gets an answer and
+        ``/stats`` counts it instead of the connection dropping.
+        """
+        self.note_request(endpoint)
+        t0 = time.perf_counter()
+        try:
+            yield
+        except ServiceError as exc:
+            self.note_error(exc.status)
+            raise
+        except Exception as exc:
+            self.note_error(500)
+            raise ServiceError(
+                f"internal error: {type(exc).__name__}: {exc}",
+                status=500) from None
+        finally:
+            self.observe_latency(time.perf_counter() - t0)
+
     # ---------------------------------------------------------- validation
 
     def _validate(self, scenario: Scenario) -> None:
@@ -448,18 +473,11 @@ class PredictService:
 
         Raises :class:`ServiceError` 400 on anything invalid about the
         request and 500 on an engine failure (evicting the failing
-        session; the pool keeps serving).  Counted and timed.
+        session; the pool keeps serving) or any other unexpected error.
+        Counted and timed.
         """
-        self.note_request("predict")
-        t0 = time.perf_counter()
-        try:
-            result = self._predict_one(payload)
-        except ServiceError as exc:
-            self.note_error(exc.status)
-            raise
-        finally:
-            self.observe_latency(time.perf_counter() - t0)
-        return result
+        with self._accounted("predict"):
+            return self._predict_one(payload)
 
     # -------------------------------------------------------------- batch
 
@@ -501,9 +519,7 @@ class PredictService:
         lowering — so a batch answer is bit-identical to N single
         requests, memo hits included.
         """
-        self.note_request("batch")
-        t0 = time.perf_counter()
-        try:
+        with self._accounted("batch"):
             if not isinstance(payload, dict):
                 raise ServiceError("batch body must be a JSON object, got "
                                    f"{type(payload).__name__}")
@@ -516,11 +532,6 @@ class PredictService:
                 "headers": list(SCENARIO_RESULT_HEADERS),
                 "results": results,
             }
-        except ServiceError as exc:
-            self.note_error(exc.status)
-            raise
-        finally:
-            self.observe_latency(time.perf_counter() - t0)
 
     # -------------------------------------------------------------- cells
 

@@ -335,11 +335,11 @@ def _same_value(a, b) -> bool:
 def assert_same_graph(new, ref, allow_seals: bool = False) -> None:
     """``new`` and ``ref`` are the same graph, task for task.
 
-    ``allow_seals`` accepts the bookkeeping keys an overlay (``_cow_base``)
-    or a lowering (``_sim_stamp``) leaves on ``new``'s tasks, as on the
-    base graph of a session that has answered questions.
+    ``allow_seals`` accepts the seal an overlay (``_cow_base``) leaves on
+    ``new``'s tasks, as on the base graph of a session that has answered
+    questions.
     """
-    extra = {"metadata", "_cow_base", "_sim_stamp"} if allow_seals else None
+    extra = {"metadata", "_cow_base"} if allow_seals else None
     assert new.threads() == ref.threads()
     assert new._unordered == ref._unordered
     twin = {}

@@ -3,14 +3,13 @@
 Covers the contracts :mod:`repro.core.compiled` documents:
 
 * stable ordinals are a pure function of graph data (thread-major);
-* the compiled lowering is cached per graph generation and invalidated by
-  every mutation class — structural splices, edge changes, thread order
-  flags, and in-place task field writes (through the write stamp, or the
-  seal a closed overlay left);
+* the compiled lowering is cached on its graph and invalidated by every
+  mutation class — structural splices, edge changes, thread order flags
+  (the generation), and in-place duration/gap writes (the column
+  compare) — while leaving nothing on the tasks;
 * ``simulate_many`` answers a shared-baseline cell grid bit-identically
   to mutating and simulating each cell's graph from scratch;
-* the satellites: ``_simulate_reference`` scrubs ``_ready_us`` on failure,
-  and ``SimulationResult.critical_tasks`` orders duration ties by ordinal.
+* ``SimulationResult.critical_tasks`` orders duration ties by ordinal.
 """
 
 import pytest
@@ -110,31 +109,35 @@ class TestCompiledCache:
         assert after.run().start_us == simulate(g).start_us
 
     def test_second_write_to_one_task_is_stamp_free(self):
+        """Writes leave no state on the task and never touch the graph's
+        generation; the next lowering sees the latest value."""
         g = small_graph()
         compiled_for(g)
         task = g.tasks()[0]
-        task.duration = 5.0
+        keys = list(vars(task))
         generation = g._generation
-        task.duration = 6.0  # stamp already fired and popped
+        task.duration = 5.0
+        task.duration = 6.0
+        assert list(vars(task)) == keys
         assert g._generation == generation
+        assert compiled_for(g).duration[0] == 6.0
+        assert compiled_for(g).run().start_us == CompiledGraph.build(g).run().start_us
 
     def test_clone_does_not_carry_the_stamp(self):
         g = small_graph()
-        compiled_for(g)
+        lowered = compiled_for(g)
         clone = g.tasks()[0].clone()
-        generation = g._generation
         clone.duration = 123.0
-        assert g._generation == generation
+        assert compiled_for(g) is lowered
 
     def test_graph_copy_does_not_share_cache_or_stamps(self):
         g = small_graph()
-        compiled_for(g)
+        lowered = compiled_for(g)
         dup = g.copy()
         assert dup._compiled is None
-        generation = g._generation
         dup.tasks()[0].duration = 50.0  # must not invalidate the original
-        assert g._generation == generation
-        assert compiled_for(g).run().start_us == simulate(g).start_us
+        assert compiled_for(g) is lowered
+        assert compiled_for(dup).run().makespan_us != lowered.run().makespan_us
 
     def test_overlay_write_invalidates_base_and_overlay(self):
         g = small_graph()
@@ -144,27 +147,17 @@ class TestCompiledCache:
             overlay.tasks()[1].duration = 42.0  # COW write through the barrier
             assert compiled_for(overlay) is not overlay_compiled
             assert (compiled_for(overlay).run().start_us
-                    == simulate(overlay).start_us)
-        # closing restored the write; the base lowering matches the base
-        assert compiled_for(g).run().start_us == base_compiled.run().start_us
-        assert compiled_for(g).run().start_us == simulate(g).start_us
+                    == CompiledGraph.build(overlay).run().start_us)
+        # closing restored the write: the base lowering is still valid
+        assert compiled_for(g) is base_compiled
         # writes on the base after close relower it: a task the overlay
-        # journaled, and one whose stamp the overlay's lowering overwrote
+        # journaled, and one still carrying the overlay's seal
         for task in (g.tasks()[1], g.tasks()[2]):
             before = compiled_for(g)
             task.duration = 17.0
             assert compiled_for(g) is not before
-            assert compiled_for(g).run().start_us == simulate(g).start_us
-
-    def test_lazy_predecessor_csr_transposes_successors(self):
-        g = small_graph()
-        compiled = CompiledGraph.build(g)
-        indptr, indices = compiled.pred_indptr, compiled.pred_indices
-        ordinals = compiled.ordinal
-        for task in g.tasks():
-            i = ordinals[task]
-            row = sorted(indices[indptr[i]:indptr[i + 1]])
-            assert row == sorted(ordinals[p] for p in g.predecessors(task))
+            assert (compiled_for(g).run().start_us
+                    == CompiledGraph.build(g).run().start_us)
 
 
 class TestSimulateMany:
@@ -266,38 +259,6 @@ class TestSimulateMany:
 
 
 class TestSatelliteRegressions:
-    def test_reference_engine_scrubs_ready_us_on_scheduler_error(self):
-        """`_ready_us` must not leak when SimulationError raises mid-run."""
-        g = small_graph()
-        stranger = make_task("stranger", cpu_thread(9), 1.0)
-
-        def bad_scheduler(frontier, progress):
-            if len(progress) and frontier:  # dispatch a foreign task
-                return stranger
-            return frontier[0]
-
-        with pytest.raises(SimulationError, match="outside the frontier"):
-            simulate(g, bad_scheduler)
-        for task in g.tasks():
-            assert "_ready_us" not in task.metadata
-
-    def test_reference_engine_scrubs_ready_us_on_deadlock(self):
-        g = DependencyGraph()
-        channel = comm_channel(0)
-        g.mark_unordered(channel)
-        a = g.append(make_task("a", channel, 1.0, kind=TaskKind.COMM))
-        b = g.append(make_task("b", channel, 1.0, kind=TaskKind.COMM))
-        g.add_dependency(a, b)
-        g.add_dependency(b, a)
-
-        def first(frontier, progress):
-            return frontier[0]
-
-        with pytest.raises(SimulationError, match="deadlock"):
-            simulate(g, first)
-        assert "_ready_us" not in a.metadata
-        assert "_ready_us" not in b.metadata
-
     def test_critical_tasks_breaks_duration_ties_by_ordinal(self):
         g = DependencyGraph()
         # same duration everywhere: the ranking must come out in ordinal
@@ -308,9 +269,8 @@ class TestSatelliteRegressions:
         cpu = [g.append(make_task(f"c{i}", cpu_thread(0), 5.0))
                for i in range(3)]
         expected = [t.name for t in cpu + gpu]  # cpu threads sort first
-        for engine_result in (simulate(g), CompiledGraph.build(g).run()):
-            assert engine_result.ordinals is not None
-            names = [t.name for t in engine_result.critical_tasks(top=6)]
-            assert names == expected
+        result = simulate(g)
+        assert result.ordinals is not None
+        assert [t.name for t in result.critical_tasks(top=6)] == expected
         top2 = [t.name for t in simulate(g).critical_tasks(top=2)]
         assert top2 == expected[:2]

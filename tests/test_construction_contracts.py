@@ -2,10 +2,10 @@
 
 * Memory: tasks built without the write barrier keep key-sharing instance
   dicts, exactly like dataclass-constructed tasks, and carry no
-  copy-on-write or lowering seal.
+  copy-on-write seal.
 * Barrier: layer mapping still writes through the barrier wherever it is
-  armed — on an overlay's shared tasks (undone when the overlay closes)
-  and on a lowered graph.
+  armed — on an overlay's shared tasks (undone when the overlay closes) —
+  and a lowered graph it maps keeps simulating correctly.
 * Errors: every check the bulk linker and the fused ``validate`` make still
   raises, each with its own message.
 """
@@ -19,10 +19,11 @@ import textwrap
 import pytest
 
 from repro.common.errors import ConfigError, GraphConsistencyError, TraceError
-from repro.core.compiled import compiled_for
+from repro.core.compiled import CompiledGraph
 from repro.core.construction import build_graph
 from repro.core.graph import DependencyGraph
 from repro.core.mapping import map_tasks_to_layers
+from repro.core.simulate import simulate
 from repro.core.task import Task, TaskKind
 from repro.tracing.records import (
     EventCategory,
@@ -31,8 +32,6 @@ from repro.tracing.records import (
     gpu_stream,
 )
 from repro.tracing.trace import Trace
-
-_SEALS = ("_cow_base", "_sim_stamp")
 
 
 def make_task(name, thread=None, duration=1.0):
@@ -55,7 +54,7 @@ def test_task_dicts_match_dataclass_tasks(tiny_trace):
     size = sys.getsizeof(reference.__dict__)
     for task in graph.tasks():
         assert sys.getsizeof(task.__dict__) == size, task
-        assert not any(seal in vars(task) for seal in _SEALS), task
+        assert "_cow_base" not in vars(task), task
 
 
 def test_task_dicts_share_keys_in_a_fresh_interpreter():
@@ -112,13 +111,17 @@ def test_mapping_an_overlay_is_undone_on_close(tiny_trace):
     assert [sys.getsizeof(t.__dict__) for t in after] == sizes
 
 
-def test_mapping_a_lowered_graph_bumps_the_generation(tiny_trace):
+def test_mapping_a_lowered_graph_keeps_simulating_correctly(tiny_trace):
     graph = build_graph(tiny_trace, map_layers=False)
-    lowered = compiled_for(graph)
-    generation = graph._generation
+    before = simulate(graph)
     assert map_tasks_to_layers(graph, tiny_trace) > 0
-    assert graph._generation > generation
-    assert compiled_for(graph) is not lowered
+    # layer/phase are not simulation inputs: the cached lowering stays
+    # valid and answers exactly like a fresh lowering of the mapped graph
+    after = simulate(graph)
+    fresh = CompiledGraph.build(graph).run()
+    assert after.start_us == fresh.start_us == before.start_us
+    assert after.makespan_us == fresh.makespan_us == before.makespan_us
+    assert any(task.layer is not None for task in graph.tasks())
 
 
 def test_mapping_a_fresh_graph_writes_directly(tiny_trace):

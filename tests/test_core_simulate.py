@@ -94,7 +94,9 @@ class TestSchedulers:
         def bad(frontier, progress):
             return rogue
 
-        with pytest.raises(SimulationError):
+        # only SchedulePolicy objects are schedulers: a frontier callable
+        # is refused up front, before any task runs
+        with pytest.raises(SimulationError, match="SchedulePolicy"):
             simulate(g, bad)
 
     def test_priority_scheduler_orders_unordered_channel(self):

@@ -55,11 +55,8 @@ def state(graph):
 
     Tasks by identity; per task its instance-dict keys in order, every
     value by identity, the dict's allocated size and its metadata items.
-    The one exception is the lowering stamp's value: a lowered overlay
-    re-stamps the tasks it shares, and the seal stands in for it.
     """
-    return [(task, list(vars(task)),
-             [v for k, v in vars(task).items() if k != "_sim_stamp"],
+    return [(task, list(vars(task)), list(vars(task).values()),
              sys.getsizeof(vars(task)), list(task.metadata.items()))
             for task in graph.tasks()]
 
@@ -217,16 +214,16 @@ class TestCowSession:
         return WhatIfSession.from_trace(trace)
 
     def test_predictions_match_deep_copy_sessions(self, session):
+        """``predict_simulation`` transforms a deep copy: the reference."""
         cluster = ClusterSpec(2, 2, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
         reference = WhatIfSession.from_trace(session.trace, session.config)
-        reference.copy_on_write = False
         for optimization, cl in [(FusedAdam(), None),
                                  (AutomaticMixedPrecision(), None),
                                  (DistributedTraining(), cluster)]:
             cow = session.predict(optimization, cluster=cl)
-            deep = reference.predict(optimization, cluster=cl)
-            assert cow.predicted_us == deep.predicted_us
-            assert cow.baseline_us == deep.baseline_us
+            deep = reference.predict_simulation(optimization, cluster=cl)[1]
+            assert cow.predicted_us == deep.makespan_us
+            assert cow.baseline_us == reference.baseline_us
 
     def test_baseline_and_breakdown_stable_across_questions(self, session):
         baseline = session.baseline_us
@@ -321,19 +318,19 @@ def test_warm_session_memory_stays_flat(resnet_trace):
 def test_registry_predictions_match_deep_copies(model, trace_fixture,
                                                 request):
     """Every shipped optimization answers bit-identically through the
-    journal and through a deep copy, and leaves the base graph exactly as
-    construction built it."""
+    journal and through a deep copy (``predict_simulation``), and leaves
+    the base graph exactly as construction built it."""
     from construction_oracle import assert_same_graph
     from repro.core.construction import build_graph
 
     trace = request.getfixturevalue(trace_fixture)
     cow = WhatIfSession.from_trace(trace)
-    deep = WhatIfSession(trace, cow.config, copy_on_write=False)
+    deep = WhatIfSession(trace, cow.config)
     questions = registry_questions(model)
     assert len(questions) == 13
     for key, pipeline, cluster in questions:
         ours = cow.predict(pipeline, cluster=cluster)
-        theirs = deep.predict(pipeline, cluster=cluster)
-        assert ours.predicted_us == theirs.predicted_us, key
-        assert ours.baseline_us == theirs.baseline_us, key
+        _, theirs = deep.predict_simulation(pipeline, cluster=cluster)
+        assert ours.predicted_us == theirs.makespan_us, key
+        assert ours.baseline_us == deep.baseline_us, key
     assert_same_graph(cow.graph, build_graph(trace), allow_seals=True)

@@ -394,6 +394,30 @@ def test_engine_failure_is_a_500_that_evicts_only_that_session():
     assert service.stats()["errors"].get("500") == 1
 
 
+def _raising_builder(batch_size=None):
+    raise ValueError("builder blew up")
+
+
+def test_raising_model_builder_is_a_counted_500_on_both_endpoints():
+    """A builder raising a non-Config error answers a JSON 500 (it used
+    to drop the connection and count nothing); the daemon keeps serving."""
+    register_model("tinyraise", _raising_builder, overwrite=True)
+    service = PredictService()
+    bad = {"model": "tinyraise"}
+    with PredictServer(service) as server:
+        status, body = post(server.url, "/predict", bad)
+        assert status == 500
+        assert "builder blew up" in body["error"]
+        status, body = post(server.url, "/predict/batch",
+                            {"scenarios": [{"model": MODEL}, bad]})
+        assert status == 500
+        assert "builder blew up" in body["error"]
+        ok_status, answer = post(server.url, "/predict", {"model": MODEL})
+        assert ok_status == 200 and answer["row"][0] == MODEL
+    stats = service.stats()
+    assert stats["errors"] == {"500": 2}
+
+
 # ------------------------------------------------- staleness (regressions)
 
 def test_runner_session_is_rebuilt_after_model_overwrite():

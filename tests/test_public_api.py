@@ -1,5 +1,9 @@
 """Tests for the package's public API surface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -29,6 +33,21 @@ class TestTopLevelExports:
         import repro.optimizations as opts
         for name in optimizations_all:
             assert getattr(opts, name) is not None
+
+
+def test_import_leaves_numpy_unloaded():
+    """The package and its CLI import without numpy: the simulator runs
+    on plain lists, and numpy's import time and resident memory would be
+    paid by every cold process (a fresh interpreter, so no other test's
+    import can hide it)."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    script = ("import sys, repro.scenarios, repro.__main__; "
+              "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestDocstrings:

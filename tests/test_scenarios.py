@@ -266,6 +266,18 @@ class TestScenarioSerialization:
         with pytest.raises(ConfigError, match="schedule policy"):
             Scenario(model="gnmt", schedule_policy="random")
 
+    def test_schedule_policy_factory_must_return_a_policy(self, monkeypatch):
+        from repro.scenarios import scenario as scenario_module
+
+        def frontier_callable():
+            return lambda frontier, progress: frontier[0]
+
+        monkeypatch.setitem(scenario_module.NAMED_SCHEDULE_POLICIES,
+                            "legacy", frontier_callable)
+        scenario = Scenario(model="gnmt", schedule_policy="legacy")
+        with pytest.raises(ConfigError, match="not a SchedulePolicy"):
+            scenario.build_schedule_policy()
+
     def test_builders(self):
         scenario = Scenario(
             model="resnet50", batch_size=8, framework="mxnet", gpu="p4000",

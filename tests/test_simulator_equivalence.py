@@ -1,22 +1,23 @@
-"""Property tests: the event-driven engine matches a naive reference.
+"""Property tests: the simulation engine matches a naive reference.
 
-The heap engine in :mod:`repro.core.simulate` must be *behavior-identical*
-to Algorithm 1's frontier-scan formulation — same ``start_us`` for every
-task, same makespan — including on graphs with unordered communication
-channels (where dispatch order matters) and under P3's priority policy.
-The reference implementation here is written independently against the
-public graph API, scanning the whole frontier every dispatch.
+The engine in :mod:`repro.core.compiled` (behind
+:func:`repro.core.simulate.simulate`) must be *behavior-identical* to
+Algorithm 1's frontier-scan formulation — same ``start_us`` for every
+task, same makespan, same per-thread busy intervals — including on graphs
+with unordered communication channels (where dispatch order matters) and
+under P3's priority policy.  The reference,
+``simulate_oracle.naive_simulate``, is written independently against the
+public graph API and scans the whole frontier every dispatch; it is the
+single oracle for full-result identity.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from simulate_oracle import naive_simulate
+
+from repro.core.compiled import CompiledGraph
 from repro.core.graph import DependencyGraph
-from repro.core.simulate import (
-    PrioritySchedulePolicy,
-    earliest_start_scheduler,
-    make_priority_scheduler,
-    simulate,
-)
+from repro.core.simulate import make_priority_scheduler, simulate
 from repro.core.task import Task, TaskKind
 from repro.tracing.records import comm_channel, cpu_thread, gpu_stream
 
@@ -26,51 +27,17 @@ def make_task(name, thread, duration, gap=0.0, kind=TaskKind.CPU, priority=0):
                 gap=gap, priority=priority)
 
 
-def naive_simulate(graph, key=None):
-    """Frontier-scan Algorithm 1, written independently of the package.
+def comm_priority(task):
+    return -float(task.priority) if task.is_comm else 0.0
 
-    ``key(task)`` is the secondary sort key after feasible start (0 for
-    the default schedule); ties beyond that break on the task's stable
-    ordinal — its thread-major position (threads sorted, tasks in thread
-    order) — matching the engines' allocation-independent tie-break.
-    """
-    key = key or (lambda task: 0.0)
-    refs, ready, ordinal = {}, {}, {}
-    for thread in graph.threads():
-        tasks = graph.tasks_on(thread)
-        ordered = graph.is_ordered(thread)
-        for i, task in enumerate(tasks):
-            ordinal[task] = len(ordinal)
-            refs[task] = len(graph.predecessors(task)) + (
-                1 if ordered and i > 0 else 0)
-            ready[task] = 0.0
-    frontier = [task for task in refs if refs[task] == 0]
-    progress = {t: 0.0 for t in graph.threads()}
-    start_us = {}
-    while frontier:
-        task = min(
-            frontier,
-            key=lambda t: (max(progress[t.thread], ready[t]),
-                           key(t), ordinal[t]),
-        )
-        frontier.remove(task)
-        start = max(progress[task.thread], ready[task])
-        start_us[task] = start
-        end = start + task.duration
-        progress[task.thread] = end + task.gap
-        released = list(graph.successors(task))
-        if graph.is_ordered(task.thread):
-            nxt = graph.thread_successor(task)
-            if nxt is not None:
-                released.append(nxt)
-        for child in released:
-            ready[child] = max(ready[child], end)
-            refs[child] -= 1
-            if refs[child] == 0:
-                frontier.append(child)
-    assert len(start_us) == len(graph), "reference deadlocked"
-    makespan = max((s + t.duration for t, s in start_us.items()), default=0.0)
-    return start_us, makespan
+
+def assert_matches_reference(result, graph, key=None):
+    """Full-result identity with the oracle: starts, makespan, busy
+    intervals — compared exactly, no tolerance."""
+    ref_start, ref_makespan, ref_busy = naive_simulate(graph, key)
+    assert result.makespan_us == ref_makespan
+    assert result.start_us == ref_start
+    assert result.thread_busy == ref_busy
 
 
 @st.composite
@@ -118,123 +85,92 @@ def random_graph(draw):
 @given(random_graph())
 def test_event_driven_matches_reference_default_schedule(g):
     g.validate()
-    result = simulate(g)
-    ref_start, ref_makespan = naive_simulate(g)
-    assert result.makespan_us == ref_makespan
-    for task, start in ref_start.items():
-        assert result.start_us[task] == start
+    assert_matches_reference(simulate(g), g)
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_graph())
 def test_event_driven_matches_reference_priority_schedule(g):
-    def prioritized(task):
-        return task.is_comm
-
-    result = simulate(g, make_priority_scheduler(prioritized))
-    ref_start, ref_makespan = naive_simulate(
-        g, key=lambda t: -float(t.priority) if prioritized(t) else 0.0)
-    assert result.makespan_us == ref_makespan
-    for task, start in ref_start.items():
-        assert result.start_us[task] == start
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_graph())
-def test_heap_engine_matches_legacy_callable_paths(g):
-    """The retained legacy frontier engine agrees with the heap engine."""
-    assert (simulate(g).start_us
-            == simulate(g, earliest_start_scheduler).start_us)
-    policy = PrioritySchedulePolicy(lambda t: t.is_comm)
-    assert (simulate(g, policy).start_us
-            == simulate(g, policy.__call__).start_us)
+    result = simulate(g, make_priority_scheduler(lambda t: t.is_comm))
+    assert_matches_reference(result, g, comm_priority)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_graph())
 def test_simulation_leaves_no_scratch_state(g):
+    before = [(task, list(vars(task)), dict(task.metadata))
+              for task in g.tasks()]
     simulate(g)
-    simulate(g, earliest_start_scheduler)
-    for task in g.tasks():
-        assert "_ready_us" not in task.metadata
-
-
-# ---------------------------------------------------------------------------
-# compiled array engine vs the object-graph engines
-# ---------------------------------------------------------------------------
-
-
-def _assert_same_result(compiled_result, reference_result):
-    assert compiled_result.makespan_us == reference_result.makespan_us
-    assert compiled_result.start_us == reference_result.start_us
-    assert compiled_result.thread_busy == reference_result.thread_busy
+    simulate(g, make_priority_scheduler(lambda t: t.is_comm))
+    assert [(task, list(vars(task)), dict(task.metadata))
+            for task in g.tasks()] == before
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_graph())
 def test_array_engine_matches_reference_default_schedule(g):
-    from repro.core.compiled import CompiledGraph
-
-    result = CompiledGraph.build(g).run()
-    ref_start, ref_makespan = naive_simulate(g)
-    assert result.makespan_us == ref_makespan
-    for task, start in ref_start.items():
-        assert result.start_us[task] == start
+    assert_matches_reference(CompiledGraph.build(g).run(), g)
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_graph())
 def test_array_engine_matches_reference_priority_schedule(g):
-    from repro.core.compiled import CompiledGraph
-
     policy = make_priority_scheduler(lambda t: t.is_comm)
-    result = CompiledGraph.build(g).run(policy)
-    ref_start, ref_makespan = naive_simulate(
-        g, key=lambda t: -float(t.priority) if t.is_comm else 0.0)
-    assert result.makespan_us == ref_makespan
-    for task, start in ref_start.items():
-        assert result.start_us[task] == start
+    assert_matches_reference(CompiledGraph.build(g).run(policy), g,
+                             comm_priority)
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_graph())
-def test_array_engine_matches_object_engine_bitwise(g):
-    """Full-result identity: starts, makespan, busy intervals."""
-    from repro.core.compiled import CompiledGraph
-
-    object_result = simulate(g)
-    _assert_same_result(CompiledGraph.build(g).run(), object_result)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_graph())
-def test_array_engine_no_numpy_fallback(g):
-    """The array('d')/array('q') column fallback is bit-identical."""
-    import array
-    import repro.core.compiled as compiled_mod
-
-    object_result = simulate(g)
-    saved_np = compiled_mod._np
-    compiled_mod._np = None
-    try:
-        compiled = compiled_mod.CompiledGraph.build(g)
-        assert isinstance(compiled.duration, array.array)
-        assert isinstance(compiled.succ_indptr, array.array)
-        assert isinstance(compiled.pred_indptr, array.array)
-        _assert_same_result(compiled.run(), object_result)
-    finally:
-        compiled_mod._np = saved_np
+@st.composite
+def graph_and_writes(draw):
+    """A random graph plus rounds of in-place duration/gap writes, some
+    made through a question-scoped overlay."""
+    g = draw(random_graph())
+    n = len(g)
+    write = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                      st.sampled_from(["duration", "gap", "scale"]),
+                      st.floats(min_value=0.0, max_value=10.0))
+    rounds = draw(st.lists(
+        st.tuples(st.booleans(), st.lists(write, max_size=6)),
+        min_size=1, max_size=4))
+    return g, rounds
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_graph())
-def test_simulate_auto_selects_warm_compiled_engine(g):
-    """simulate() tiers up: object engine first, compiled once warm —
-    with bit-identical results before and after the switch."""
-    first = simulate(g)
-    assert g._compiled is None  # one-shot graphs never pay the lowering
-    second = simulate(g)
-    assert g._compiled is not None  # second run at one generation compiles
-    third = simulate(g)
-    _assert_same_result(second, first)
-    _assert_same_result(third, first)
+def _apply(tasks, writes):
+    for index, field_name, value in writes:
+        task = tasks[index]
+        if field_name == "scale":
+            task.scale_duration(value / 5.0)
+        else:
+            setattr(task, field_name, value)
+
+
+def _assert_fresh(graph):
+    """``simulate`` (cached lowering) equals a fresh lowering and the
+    oracle, under both policies."""
+    policy = make_priority_scheduler(lambda t: t.is_comm)
+    fresh = CompiledGraph.build(graph)
+    for pol, key in ((None, None), (policy, comm_priority)):
+        cached = simulate(graph, pol)
+        expected = fresh.run(pol)
+        assert cached.makespan_us == expected.makespan_us
+        assert cached.start_us == expected.start_us
+        assert cached.thread_busy == expected.thread_busy
+        assert_matches_reference(cached, graph, key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_and_writes())
+def test_in_place_writes_between_simulates_match_a_fresh_lowering(case):
+    g, rounds = case
+    _assert_fresh(g)
+    lowered = g._compiled
+    simulate(g)
+    assert g._compiled is lowered  # an unchanged graph reuses its lowering
+    for through_overlay, writes in rounds:
+        if through_overlay:
+            with g.overlay() as working:
+                _apply(working.tasks(), writes)
+                _assert_fresh(working)
+        else:
+            _apply(g.tasks(), writes)
+        _assert_fresh(g)
