@@ -259,6 +259,23 @@ class TestSimulateMany:
 
 
 class TestSatelliteRegressions:
+    def test_reference_engine_scrubs_ready_us_on_scheduler_error(self):
+        """A refused scheduler leaves no scratch state on any task."""
+        g = small_graph()
+        stranger = make_task("stranger", cpu_thread(9), 1.0)
+        before = [(task, list(vars(task)), dict(task.metadata))
+                  for task in g.tasks()]
+
+        def bad_scheduler(frontier, progress):
+            return stranger
+
+        with pytest.raises(SimulationError, match="SchedulePolicy"):
+            simulate(g, bad_scheduler)
+        for task in g.tasks():
+            assert "_ready_us" not in task.metadata
+        assert [(task, list(vars(task)), dict(task.metadata))
+                for task in g.tasks()] == before
+
     def test_critical_tasks_breaks_duration_ties_by_ordinal(self):
         g = DependencyGraph()
         # same duration everywhere: the ranking must come out in ordinal

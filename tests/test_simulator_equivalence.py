@@ -112,6 +112,18 @@ def test_array_engine_matches_reference_default_schedule(g):
     assert_matches_reference(CompiledGraph.build(g).run(), g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_graph())
+def test_array_engine_matches_object_engine_bitwise(g):
+    """Full-result identity between ``simulate`` (the graph's cached
+    lowering) and a fresh lowering: starts, makespan, busy intervals."""
+    object_result = simulate(g)
+    result = CompiledGraph.build(g).run()
+    assert result.makespan_us == object_result.makespan_us
+    assert result.start_us == object_result.start_us
+    assert result.thread_busy == object_result.thread_busy
+
+
 @settings(max_examples=120, deadline=None)
 @given(random_graph())
 def test_array_engine_matches_reference_priority_schedule(g):
